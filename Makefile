@@ -39,6 +39,7 @@ sweep:
 	$(GO) run ./cmd/reprobench -exp ablation-overload -cache .sweepcache
 	$(GO) run ./cmd/reprobench -exp ablation-scenarios -cache .sweepcache
 	$(GO) run ./cmd/reprobench -exp ablation-energy -cache .sweepcache
+	$(GO) run ./cmd/reprobench -exp ablation-failover -cache .sweepcache
 
 # bench is the regression guard: rerun the pinned sweep and compare against
 # the committed BENCH_sweep.json — exact on simulated metrics, ±10% on

@@ -11,8 +11,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/sweep"
 )
 
 func chaosRubisCfg(seed int64) RubisConfig {
@@ -45,6 +43,9 @@ func chaosOverloadCfg(seed int64, plan FaultPlan, coordinated bool) RubisConfig 
 	}
 	return cfg
 }
+
+// wholeRun is the identity projection: the matrix row is the whole run.
+func wholeRun(_ MatrixPoint, r *RubisRun) RubisRun { return *r }
 
 // requireInvariants judges the bundle against the oracle catalog and fails
 // the test on any violation. The chaos tests' numeric contracts — goodput
@@ -83,38 +84,27 @@ func TestChaosCoordinationNeverHurts(t *testing.T) {
 			{Island: "ixp", Start: 15 * time.Second, Duration: 5 * time.Second},
 		}}},
 	}
-	// Fan the scenarios across the sweep worker pool; trials land in
-	// stable matrix order, so res.Decode(i) is scenario i regardless of
-	// completion order (and repetition 0 keeps the base seed, preserving
-	// the exact runs this test has always asserted on).
-	type chaosPointCfg struct {
-		Plan FaultPlan `json:"plan"`
-	}
-	points := make([]sweep.Point, len(matrix))
+	// Fan the scenarios across the sweep worker pool; rows land in stable
+	// matrix order, so res.Rows[i] is scenario i regardless of completion
+	// order (and repetition 0 keeps the base seed, preserving the exact
+	// runs this test has always asserted on).
+	points := make([]MatrixPoint, len(matrix))
 	for i, sc := range matrix {
-		points[i] = sweep.Point{Name: sc.name, Config: chaosPointCfg{Plan: sc.plan}}
-	}
-	res, err := sweep.Run(points, func(tr sweep.Trial) (any, error) {
-		cfg := chaosRubisCfg(tr.Seed)
+		cfg := chaosRubisCfg(1)
 		cfg.Robust = true
-		plan := tr.Point.Config.(chaosPointCfg).Plan
+		plan := sc.plan
 		cfg.Faults = &plan
-		return RunRubis(cfg, true), nil
-	}, sweep.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+		points[i] = MatrixPoint{Name: sc.name, Config: cfg, Coordinated: true}
 	}
-	if err := res.Err(); err != nil {
+	res, err := RunMatrix(Matrix[RubisRun]{Points: points, Project: wholeRun}, SweepOptions{Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	base := chaosBase(t)
 	for i, sc := range matrix {
 		sc := sc
-		var coord RubisRun
-		if err := res.Decode(i, &coord); err != nil {
-			t.Fatal(err)
-		}
+		coord := res.Rows[i]
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := chaosRubisCfg(1)
 			cfg.Robust = true
@@ -229,41 +219,24 @@ func TestChaosOverload(t *testing.T) {
 			{Island: "ixp", Start: 15 * time.Second, Duration: 5 * time.Second},
 		}}},
 	}
-	type ovPointCfg struct {
-		Plan        FaultPlan `json:"plan"`
-		Coordinated bool      `json:"coordinated"`
-	}
-	var points []sweep.Point
+	var points []MatrixPoint
 	for _, sc := range plans {
 		for _, coord := range []bool{false, true} {
 			name := sc.name + "/local"
 			if coord {
 				name = sc.name + "/coordinated"
 			}
-			points = append(points, sweep.Point{Name: name, Config: ovPointCfg{Plan: sc.plan, Coordinated: coord}})
+			points = append(points, MatrixPoint{Name: name, Config: chaosOverloadCfg(1, sc.plan, coord), Coordinated: coord})
 		}
 	}
-	res, err := sweep.Run(points, func(tr sweep.Trial) (any, error) {
-		pc := tr.Point.Config.(ovPointCfg)
-		cfg := chaosOverloadCfg(tr.Seed, pc.Plan, pc.Coordinated)
-		return RunRubis(cfg, pc.Coordinated), nil
-	}, sweep.Options{Seed: 1})
+	res, err := RunMatrix(Matrix[RubisRun]{Points: points, Project: wholeRun}, SweepOptions{Seed: 1})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
 
 	for i, sc := range plans {
 		sc := sc
-		var local, coord RubisRun
-		if err := res.Decode(2*i, &local); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Decode(2*i+1, &coord); err != nil {
-			t.Fatal(err)
-		}
+		local, coord := res.Rows[2*i], res.Rows[2*i+1]
 		t.Run(sc.name, func(t *testing.T) {
 			// Goodput floor, ledger conservation, bounded p95, and
 			// at-most-once delivery all ride the oracle catalog, with the

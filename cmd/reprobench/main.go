@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"time"
+	"unicode/utf8"
 
 	"repro"
 	"repro/internal/mplayer"
@@ -52,8 +53,8 @@ type benchConfig struct {
 	cacheDir string
 }
 
-// sweepOptions compiles the engine options for one experiment family,
-// wiring progress reporting to stderr.
+// sweepOptions compiles the engine options for one experiment family run
+// on the sweep engine directly, wiring progress reporting to stderr.
 func (c benchConfig) sweepOptions(name, cacheVersion string) sweep.Options {
 	opts := sweep.Options{
 		Workers:      c.workers,
@@ -72,7 +73,7 @@ func (c benchConfig) sweepOptions(name, cacheVersion string) sweep.Options {
 	return opts
 }
 
-// repro.SweepOptions mirror for facade-level sweeps (the fault matrix).
+// facadeOptions mirrors sweepOptions for repro.RunMatrix.
 func (c benchConfig) facadeOptions(name string) repro.SweepOptions {
 	return repro.SweepOptions{
 		Workers:  c.workers,
@@ -286,84 +287,44 @@ func runSweepBench(cfg benchConfig, jsonPath, baselinePath string, ignoreWall bo
 }
 
 // ---------------------------------------------------------------------------
-// Ablation matrices. Each is a declarative matrixSpec run through the
-// sweep engine: the runner returns one float64 per column, repetitions
-// aggregate to mean ± 95% CI, and one shared printer renders the table.
+// Ablation matrices. Every RUBiS ablation is a repro.Matrix run through
+// repro.RunMatrix, and every ablation table goes through one
+// column-driven printer: repetitions fold into mean ± 95% CI per cell.
 
-// column is one metric column of an ablation table.
-type column struct {
+// column is one metric column of an ablation table over rows of type R.
+type column[R any] struct {
 	header string
 	format string // fmt verb for one value, e.g. "%10.1f"
+	value  func(R) float64
 }
 
-// matrixSpec declares an ablation: its points, its metric columns, and
-// the runner producing one value per column.
-type matrixSpec struct {
-	name        string // short name for progress lines
-	title       string
-	cacheFamily string // cache version prefix; bump on model changes
-	labelHeader string
-	labelWidth  int
-	columns     []column
-	points      []sweep.Point
-	run         func(t sweep.Trial) ([]float64, error)
-}
-
-// runMatrix executes the spec's trials across the worker pool and prints
-// the aggregated table. Output on stdout is byte-identical for any
-// -workers value: trials land in stable point-major order regardless of
-// completion order.
-func runMatrix(cfg benchConfig, spec matrixSpec) {
-	fmt.Println(spec.title)
-	header := fmt.Sprintf("%-*s |", spec.labelWidth, spec.labelHeader)
-	for _, c := range spec.columns {
-		header += " " + c.header
+// printTable prints an ablation table: the point names, then each
+// column's mean over the point's repetitions. rows holds reps
+// consecutive trials per point, in point order. Output is byte-identical
+// for any -workers value: trials land in stable point-major order
+// regardless of completion order.
+func printTable[R any](title, label string, names []string, reps int, rows []R, cols []column[R]) {
+	width := utf8.RuneCountInString(label)
+	for _, n := range names {
+		width = max(width, utf8.RuneCountInString(n)) // fmt pads by runes: "5µs"
 	}
-	fmt.Println(header)
-
-	res, err := sweep.Run(spec.points, func(t sweep.Trial) (any, error) {
-		return spec.run(t)
-	}, cfg.sweepOptions(spec.name, spec.cacheFamily))
-	if err != nil {
-		die(err)
+	fmt.Println(title)
+	line := fmt.Sprintf("%-*s |", width, label)
+	for _, c := range cols {
+		line += fmt.Sprintf(" %*s", len(fmt.Sprintf(c.format, 0.0)), c.header)
 	}
-	if err := res.Err(); err != nil {
-		die(err)
-	}
-
-	for pi, p := range spec.points {
-		means, cis := aggregateValues(res, pi, len(spec.columns))
-		row := fmt.Sprintf("%-*s |", spec.labelWidth, p.Name)
-		for ci, c := range spec.columns {
-			row += " " + formatCell(c.format, means[ci], cis[ci], res.Reps)
+	fmt.Println(line)
+	for pi, name := range names {
+		line := fmt.Sprintf("%-*s |", width, name)
+		for _, c := range cols {
+			var s stats.Summary
+			for _, r := range rows[pi*reps : (pi+1)*reps] {
+				s.Add(c.value(r))
+			}
+			line += " " + formatCell(c.format, s.Mean(), s.CI95(), reps)
 		}
-		fmt.Println(row)
+		fmt.Println(line)
 	}
-}
-
-// aggregateValues folds point pi's repetitions into per-column means and
-// 95% CI half-widths.
-func aggregateValues(res *sweep.RunResult, pi, nCols int) (means, cis []float64) {
-	sums := make([]stats.Summary, nCols)
-	for rep := 0; rep < res.Reps; rep++ {
-		var vals []float64
-		if err := res.Decode(pi*res.Reps+rep, &vals); err != nil {
-			die(err)
-		}
-		if len(vals) != nCols {
-			die(fmt.Errorf("trial %d returned %d values, want %d", pi*res.Reps+rep, len(vals), nCols))
-		}
-		for c, v := range vals {
-			sums[c].Add(v)
-		}
-	}
-	means = make([]float64, nCols)
-	cis = make([]float64, nCols)
-	for c := range sums {
-		means[c] = sums[c].Mean()
-		cis[c] = sums[c].CI95()
-	}
-	return means, cis
 }
 
 // formatCell renders one table cell: the (mean) value in the column's
@@ -376,241 +337,180 @@ func formatCell(format string, mean, ci float64, reps int) string {
 	return cell
 }
 
-// rubisValues is the common runner body for RUBiS ablations: run one
-// configuration and project the requested metrics.
-func rubisValues(r *repro.RubisRun, project ...func(*repro.RubisRun) float64) []float64 {
-	out := make([]float64, len(project))
-	for i, f := range project {
-		out[i] = f(r)
+// ablation runs a RUBiS matrix across the worker pool and prints its
+// table, returning the result for headline lines.
+func ablation[R any](cfg benchConfig, name, title, label string, m repro.Matrix[R], cols []column[R]) *repro.MatrixResult[R] {
+	res, err := repro.RunMatrix(m, cfg.facadeOptions(name))
+	if err != nil {
+		die(err)
 	}
-	return out
+	names := make([]string, len(m.Points))
+	for i, p := range m.Points {
+		names[i] = p.Name
+	}
+	printTable(title, label, names, res.Sweep.Reps, res.Rows, cols)
+	return res
 }
 
-func tput(r *repro.RubisRun) float64   { return r.Throughput }
-func meanMs(r *repro.RubisRun) float64 { return r.MeanOverTypes() }
+// rubisConfig is the run shape every RUBiS ablation shares.
+func (c benchConfig) rubisConfig() repro.RubisConfig {
+	return repro.RubisConfig{Seed: c.seed, Duration: c.rubisDur}
+}
+
+// rubisRow is the row of the hand-built RUBiS ablations: the metrics
+// their tables print.
+type rubisRow struct {
+	Throughput float64 `json:"throughput"`
+	MeanMs     float64 `json:"mean_ms"`
+	MaxMs      float64 `json:"max_ms"`
+	Efficiency float64 `json:"efficiency"`
+}
+
+func rubisMatrix(version string, points []repro.MatrixPoint) repro.Matrix[rubisRow] {
+	return repro.Matrix[rubisRow]{Version: version, Points: points, Project: func(_ repro.MatrixPoint, r *repro.RubisRun) rubisRow {
+		return rubisRow{Throughput: r.Throughput, MeanMs: r.MeanOverTypes(), MaxMs: r.MaxOverTypes(), Efficiency: r.Efficiency}
+	}}
+}
+
+var (
+	tputCol = column[rubisRow]{"tput(r/s)", "%10.1f", func(r rubisRow) float64 { return r.Throughput }}
+	meanCol = column[rubisRow]{"mean(ms)", "%10.0f", func(r rubisRow) float64 { return r.MeanMs }}
+)
 
 // ablationLatency sweeps the coordination-channel latency — the paper
 // blames PCIe latency for mis-coordination on read/write transitions and
 // predicts QPI/HTX-class interconnects would remove it.
 func ablationLatency(cfg benchConfig) {
-	type pointCfg struct {
-		LatencyNs  int64 `json:"latency_ns"`
-		DurationNs int64 `json:"duration_ns"`
-	}
-	var points []sweep.Point
-	lats := []time.Duration{
+	var points []repro.MatrixPoint
+	for _, lat := range []time.Duration{
 		5 * time.Microsecond,   // on-chip signalling (the paper's hardware wish)
 		150 * time.Microsecond, // the prototype's PCIe mailbox
 		20 * time.Millisecond,  // a slow software path
 		200 * time.Millisecond, // approaching the workload's phase timescale
 		1 * time.Second,        // stale beyond usefulness
+	} {
+		rc := cfg.rubisConfig()
+		rc.CoordLatency = lat
+		points = append(points, repro.MatrixPoint{Name: lat.String(), Config: rc, Coordinated: true})
 	}
-	for _, lat := range lats {
-		points = append(points, sweep.Point{
-			Name:   lat.String(),
-			Config: pointCfg{LatencyNs: int64(lat), DurationNs: int64(cfg.rubisDur)},
+	ablation(cfg, "ablation-latency", "Ablation: coordination-channel latency sweep (RUBiS, coordinated)", "latency",
+		rubisMatrix("ablation-latency-v1", points), []column[rubisRow]{
+			tputCol, meanCol, {"max-type(ms)", "%12.0f", func(r rubisRow) float64 { return r.MaxMs }},
 		})
-	}
-	runMatrix(cfg, matrixSpec{
-		name:        "ablation-latency",
-		title:       "Ablation: coordination-channel latency sweep (RUBiS, coordinated)",
-		cacheFamily: "ablation-latency-v1",
-		labelHeader: "latency", labelWidth: 12,
-		columns: []column{
-			{"tput(r/s)", "%10.1f"}, {"  mean(ms)", "%10.0f"}, {"max-type(ms)", "%12.0f"},
-		},
-		points: points,
-		run: func(t sweep.Trial) ([]float64, error) {
-			pc := t.Point.Config.(pointCfg)
-			r := repro.RunRubis(repro.RubisConfig{
-				Seed: t.Seed, Duration: time.Duration(pc.DurationNs),
-				CoordLatency: time.Duration(pc.LatencyNs),
-			}, true)
-			return rubisValues(r, tput, meanMs, (*repro.RubisRun).MaxOverTypes), nil
-		},
-	})
 }
 
 // ablationMechanisms compares the coordination policy variants, with the
 // uncoordinated baseline as the first point of the same matrix.
 func ablationMechanisms(cfg benchConfig) {
-	type pointCfg struct {
-		Scheme     string `json:"scheme"` // "" = uncoordinated baseline
-		DurationNs int64  `json:"duration_ns"`
-	}
-	points := []sweep.Point{{
-		Name:   "none (base)",
-		Config: pointCfg{DurationNs: int64(cfg.rubisDur)},
-	}}
+	points := []repro.MatrixPoint{{Name: "none (base)", Config: cfg.rubisConfig()}}
 	for _, s := range []repro.CoordScheme{repro.SchemeOutstanding, repro.SchemeLoadTrack, repro.SchemeClass} {
-		points = append(points, sweep.Point{
-			Name:   string(s),
-			Config: pointCfg{Scheme: string(s), DurationNs: int64(cfg.rubisDur)},
-		})
+		rc := cfg.rubisConfig()
+		rc.Scheme = s
+		points = append(points, repro.MatrixPoint{Name: string(s), Config: rc, Coordinated: true})
 	}
-	runMatrix(cfg, matrixSpec{
-		name:        "ablation-mechanisms",
-		title:       "Ablation: coordination policy variants (RUBiS)",
-		cacheFamily: "ablation-mechanisms-v1",
-		labelHeader: "scheme", labelWidth: 14,
-		columns: []column{
-			{"tput(r/s)", "%10.1f"}, {"  mean(ms)", "%10.0f"}, {"efficiency", "%10.2f"},
-		},
-		points: points,
-		run: func(t sweep.Trial) ([]float64, error) {
-			pc := t.Point.Config.(pointCfg)
-			rc := repro.RubisConfig{Seed: t.Seed, Duration: time.Duration(pc.DurationNs)}
-			coordinated := pc.Scheme != ""
-			if coordinated {
-				rc.Scheme = repro.CoordScheme(pc.Scheme)
-			}
-			r := repro.RunRubis(rc, coordinated)
-			return rubisValues(r, tput, meanMs, func(r *repro.RubisRun) float64 { return r.Efficiency }), nil
-		},
-	})
+	ablation(cfg, "ablation-mechanisms", "Ablation: coordination policy variants (RUBiS)", "scheme",
+		rubisMatrix("ablation-mechanisms-v1", points), []column[rubisRow]{
+			tputCol, meanCol, {"efficiency", "%10.2f", func(r rubisRow) float64 { return r.Efficiency }},
+		})
 }
 
 // ablationInterrupt sweeps the IXP's host-interrupt moderation period —
 // the "user-defined frequency" of §2.1. Longer periods batch packets into
 // fewer Dom0 wakeups at the cost of delivery latency.
 func ablationInterrupt(cfg benchConfig) {
-	type pointCfg struct {
-		PeriodNs   int64 `json:"period_ns"`
-		DurationNs int64 `json:"duration_ns"`
-	}
-	var points []sweep.Point
+	var points []repro.MatrixPoint
 	for _, p := range []time.Duration{0, 1 * time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond} {
 		label := "poll (off)"
 		if p > 0 {
 			label = p.String()
 		}
-		points = append(points, sweep.Point{
-			Name:   label,
-			Config: pointCfg{PeriodNs: int64(p), DurationNs: int64(cfg.rubisDur)},
-		})
+		rc := cfg.rubisConfig()
+		rc.IntrModeration = p
+		points = append(points, repro.MatrixPoint{Name: label, Config: rc, Coordinated: true})
 	}
-	runMatrix(cfg, matrixSpec{
-		name:        "ablation-interrupt",
-		title:       "Ablation: host interrupt moderation period (RUBiS, coordinated)",
-		cacheFamily: "ablation-interrupt-v1",
-		labelHeader: "period", labelWidth: 12,
-		columns: []column{{"tput(r/s)", "%10.1f"}, {"  mean(ms)", "%10.0f"}},
-		points:  points,
-		run: func(t sweep.Trial) ([]float64, error) {
-			pc := t.Point.Config.(pointCfg)
-			r := repro.RunRubis(repro.RubisConfig{
-				Seed: t.Seed, Duration: time.Duration(pc.DurationNs),
-				IntrModeration: time.Duration(pc.PeriodNs),
-			}, true)
-			return rubisValues(r, tput, meanMs), nil
-		},
-	})
+	ablation(cfg, "ablation-interrupt", "Ablation: host interrupt moderation period (RUBiS, coordinated)", "period",
+		rubisMatrix("ablation-interrupt-v1", points), []column[rubisRow]{tputCol, meanCol})
 }
 
 // ablationLoss injects coordination-message loss (fault injection): the
 // outstanding-load translation's decay heals drift, so coordination should
 // degrade gracefully rather than collapse.
 func ablationLoss(cfg benchConfig) {
-	type pointCfg struct {
-		Coordinated bool    `json:"coordinated"`
-		LossRate    float64 `json:"loss_rate"`
-		DurationNs  int64   `json:"duration_ns"`
-	}
-	points := []sweep.Point{{
-		Name:   "(no coord)",
-		Config: pointCfg{DurationNs: int64(cfg.rubisDur)},
-	}}
+	points := []repro.MatrixPoint{{Name: "(no coord)", Config: cfg.rubisConfig()}}
 	for _, rate := range []float64{0, 0.1, 0.3, 0.6} {
-		points = append(points, sweep.Point{
-			Name:   fmt.Sprintf("%.0f%%", rate*100),
-			Config: pointCfg{Coordinated: true, LossRate: rate, DurationNs: int64(cfg.rubisDur)},
-		})
+		rc := cfg.rubisConfig()
+		rc.CoordLossRate = rate
+		points = append(points, repro.MatrixPoint{Name: fmt.Sprintf("%.0f%%", rate*100), Config: rc, Coordinated: true})
 	}
-	runMatrix(cfg, matrixSpec{
-		name:        "ablation-loss",
-		title:       "Ablation: coordination-message loss (RUBiS)",
-		cacheFamily: "ablation-loss-v1",
-		labelHeader: "loss", labelWidth: 10,
-		columns: []column{{"tput(r/s)", "%10.1f"}, {"  mean(ms)", "%10.0f"}},
-		points:  points,
-		run: func(t sweep.Trial) ([]float64, error) {
-			pc := t.Point.Config.(pointCfg)
-			r := repro.RunRubis(repro.RubisConfig{
-				Seed: t.Seed, Duration: time.Duration(pc.DurationNs),
-				CoordLossRate: pc.LossRate,
-			}, pc.Coordinated)
-			return rubisValues(r, tput, meanMs), nil
-		},
-	})
+	ablation(cfg, "ablation-loss", "Ablation: coordination-message loss (RUBiS)", "loss",
+		rubisMatrix("ablation-loss-v1", points), []column[rubisRow]{tputCol, meanCol})
 }
 
-// ablationThreshold sweeps the Figure 7 trigger watermark.
+// ablationThreshold sweeps the Figure 7 trigger watermark. It is the one
+// MPlayer ablation, so it drives the sweep engine directly.
 func ablationThreshold(cfg benchConfig) {
 	type pointCfg struct {
 		ThresholdKB int   `json:"threshold_kb"`
 		DurationNs  int64 `json:"duration_ns"`
 	}
+	type row struct {
+		FPS      float64 `json:"fps"`
+		Triggers uint64  `json:"triggers"`
+	}
 	var points []sweep.Point
+	var names []string
 	for _, kb := range []int{32, 64, 128, 256, 384} {
+		name := fmt.Sprintf("%dKB", kb)
+		names = append(names, name)
 		points = append(points, sweep.Point{
-			Name:   fmt.Sprintf("%dKB", kb),
+			Name:   name,
 			Config: pointCfg{ThresholdKB: kb, DurationNs: int64(cfg.trigDur)},
 		})
 	}
-	runMatrix(cfg, matrixSpec{
-		name:        "ablation-threshold",
-		title:       "Ablation: buffer-watermark trigger threshold (MPlayer)",
-		cacheFamily: "ablation-threshold-v1",
-		labelHeader: "threshold", labelWidth: 10,
-		columns: []column{{"  dom1 fps", "%10.1f"}, {"  triggers", "%10.0f"}},
-		points:  points,
-		run: func(t sweep.Trial) ([]float64, error) {
-			pc := t.Point.Config.(pointCfg)
-			r := mplayer.RunTriggerExperiment(mplayer.TriggerConfig{
-				Seed: t.Seed, Threshold: pc.ThresholdKB << 10,
-				Duration: sim.FromDuration(time.Duration(pc.DurationNs)),
-			}, true)
-			return []float64{r.Dom1FPS, float64(r.Triggers)}, nil
-		},
+	res, err := sweep.Run(points, func(t sweep.Trial) (any, error) {
+		pc := t.Point.Config.(pointCfg)
+		r := mplayer.RunTriggerExperiment(mplayer.TriggerConfig{
+			Seed: t.Seed, Threshold: pc.ThresholdKB << 10,
+			Duration: sim.FromDuration(time.Duration(pc.DurationNs)),
+		}, true)
+		return row{FPS: r.Dom1FPS, Triggers: r.Triggers}, nil
+	}, cfg.sweepOptions("ablation-threshold", "ablation-threshold-v1"))
+	if err == nil {
+		err = res.Err()
+	}
+	if err != nil {
+		die(err)
+	}
+	rows := make([]row, len(res.Trials))
+	for i := range rows {
+		if err := res.Decode(i, &rows[i]); err != nil {
+			die(err)
+		}
+	}
+	printTable("Ablation: buffer-watermark trigger threshold (MPlayer)", "threshold", names, res.Reps, rows, []column[row]{
+		{"dom1 fps", "%10.1f", func(r row) float64 { return r.FPS }},
+		{"triggers", "%10.0f", func(r row) float64 { return float64(r.Triggers) }},
 	})
 }
 
 // ablationFaults runs the coordination plane through the canonical fault
-// matrix (repro.FaultScenarios), comparing the fragile (fire-and-forget)
+// matrix (repro.FaultMatrix), comparing the fragile (fire-and-forget)
 // wiring against the reliable plane (ack/retry + heartbeats + graceful
 // degradation). The robustness claim: under every scenario the coordinated
 // run with the reliable plane stays close to — and under heavy faults
 // degrades gracefully toward — the uncoordinated baseline rather than
 // collapsing below it.
 func ablationFaults(cfg benchConfig) {
-	res, err := repro.RunFaultMatrix(
-		repro.RubisConfig{Seed: cfg.seed, Duration: cfg.rubisDur},
-		cfg.facadeOptions("ablation-faults"),
-	)
-	if err != nil {
-		die(err)
-	}
-
-	fmt.Println("Ablation: fault matrix (RUBiS; fragile vs reliable coordination plane)")
-	reps := res.Sweep.Reps
-	base := aggregateFaultsRows(res.Rows[:reps])
-	fmt.Printf("uncoordinated baseline: %s r/s, mean %s ms\n\n",
-		formatCell("%.1f", base.Throughput, base.tputCI, reps),
-		formatCell("%.0f", base.MeanMs, base.meanCI, reps))
-	fmt.Printf("%-18s | %-8s | %9s %9s | %8s %8s %8s %8s %8s\n",
-		"scenario", "plane", "tput(r/s)", "mean(ms)", "retrans", "expired", "degrade", "revert", "shed")
-	for pi := 1; pi*reps < len(res.Rows); pi++ {
-		row := aggregateFaultsRows(res.Rows[pi*reps : (pi+1)*reps])
-		fmt.Printf("%-18s | %-8s | %s %s | %s %s %s %s %s\n",
-			row.Scenario, row.Plane,
-			formatCell("%9.1f", row.Throughput, row.tputCI, reps),
-			formatCell("%9.0f", row.MeanMs, row.meanCI, reps),
-			formatCell("%8.0f", float64(row.Retransmits), 0, 1),
-			formatCell("%8.0f", float64(row.Expired), 0, 1),
-			formatCell("%8.0f", float64(row.Degradations), 0, 1),
-			formatCell("%8.0f", float64(row.BaselineReverts), 0, 1),
-			formatCell("%8.0f", float64(row.Shed), 0, 1))
-	}
+	ablation(cfg, "ablation-faults", "Ablation: fault matrix (RUBiS; fragile vs reliable coordination plane)", "scenario/plane",
+		repro.FaultMatrix(cfg.rubisConfig()), []column[repro.FaultsRow]{
+			{"tput(r/s)", "%9.1f", func(r repro.FaultsRow) float64 { return r.Throughput }},
+			{"mean(ms)", "%9.0f", func(r repro.FaultsRow) float64 { return r.MeanMs }},
+			{"retrans", "%8.0f", func(r repro.FaultsRow) float64 { return float64(r.Retransmits) }},
+			{"expired", "%8.0f", func(r repro.FaultsRow) float64 { return float64(r.Expired) }},
+			{"degrade", "%8.0f", func(r repro.FaultsRow) float64 { return float64(r.Degradations) }},
+			{"revert", "%8.0f", func(r repro.FaultsRow) float64 { return float64(r.BaselineReverts) }},
+			{"shed", "%8.0f", func(r repro.FaultsRow) float64 { return float64(r.Shed) }},
+		})
 }
 
 // ablationOverload sweeps the overload-control ablation: no control vs
@@ -620,30 +520,16 @@ func ablationFaults(cfg benchConfig) {
 // while holding the served-request p95 bounded instead of letting queueing
 // delay grow without limit.
 func ablationOverload(cfg benchConfig) {
-	res, err := repro.RunOverloadMatrix(
-		repro.RubisConfig{Seed: cfg.seed, Duration: cfg.rubisDur},
-		cfg.facadeOptions("ablation-overload"),
-	)
-	if err != nil {
-		die(err)
-	}
-
-	fmt.Println("Ablation: overload control (RUBiS; none vs bounded vs coordinated)")
-	reps := res.Sweep.Reps
-	fmt.Printf("%-12s | %5s | %11s %11s | %9s %8s %8s %8s %8s\n",
-		"control", "load", "goodput(r/s)", "p95(ms)", "queueshed", "expired", "ixpshed", "abandon", "triggers")
-	for pi := 0; pi*reps < len(res.Rows); pi++ {
-		row := aggregateOverloadRows(res.Rows[pi*reps : (pi+1)*reps])
-		fmt.Printf("%-12s | %4gx | %s %s | %s %s %s %s %s\n",
-			row.Control, row.Load,
-			formatCell("%11.1f", row.Goodput, row.goodCI, reps),
-			formatCell("%11.0f", row.ServedP95Ms, row.p95CI, reps),
-			formatCell("%9.0f", float64(row.QueueShed), 0, 1),
-			formatCell("%8.0f", float64(row.Expired), 0, 1),
-			formatCell("%8.0f", float64(row.IXPShed), 0, 1),
-			formatCell("%8.0f", float64(row.Abandoned), 0, 1),
-			formatCell("%8.0f", float64(row.Triggers), 0, 1))
-	}
+	ablation(cfg, "ablation-overload", "Ablation: overload control (RUBiS; none vs bounded vs coordinated)", "control/load",
+		repro.OverloadMatrix(cfg.rubisConfig()), []column[repro.OverloadRow]{
+			{"goodput(r/s)", "%11.1f", func(r repro.OverloadRow) float64 { return r.Goodput }},
+			{"p95(ms)", "%11.0f", func(r repro.OverloadRow) float64 { return r.ServedP95Ms }},
+			{"queueshed", "%9.0f", func(r repro.OverloadRow) float64 { return float64(r.QueueShed) }},
+			{"expired", "%8.0f", func(r repro.OverloadRow) float64 { return float64(r.Expired) }},
+			{"ixpshed", "%8.0f", func(r repro.OverloadRow) float64 { return float64(r.IXPShed) }},
+			{"abandon", "%8.0f", func(r repro.OverloadRow) float64 { return float64(r.Abandoned) }},
+			{"triggers", "%8.0f", func(r repro.OverloadRow) float64 { return float64(r.Triggers) }},
+		})
 }
 
 // ablationEnergy sweeps the energy ablation: no governor vs per-island
@@ -654,34 +540,22 @@ func ablationOverload(cfg benchConfig) {
 // the governor that senses the end-to-end p95 can see that the SLO has
 // slack and convert it into platform energy savings.
 func ablationEnergy(cfg benchConfig) {
-	res, err := repro.RunEnergyMatrix(
-		repro.RubisConfig{Seed: cfg.seed, Duration: cfg.rubisDur},
-		cfg.facadeOptions("ablation-energy"),
-	)
-	if err != nil {
-		die(err)
-	}
-
-	fmt.Println("Ablation: energy governor (RUBiS; off vs ondemand vs coordinated)")
-	reps := res.Sweep.Reps
-	fmt.Printf("%-12s | %5s | %10s %9s %9s %8s | %8s %7s %6s\n",
-		"governor", "load", "joules", "x86(J)", "ixp(J)", "J/req", "p95(ms)", "qosviol", "trans")
-	for pi := 0; pi*reps < len(res.Rows); pi++ {
-		row := aggregateEnergyRows(res.Rows[pi*reps : (pi+1)*reps])
-		fmt.Printf("%-12s | %4gx | %s %s %s %s | %s %4d/%-4d %6d\n",
-			row.Governor, row.Load,
-			formatCell("%10.1f", row.PlatformJoules, row.jCI, reps),
-			formatCell("%9.1f", row.X86Joules, 0, 1),
-			formatCell("%9.1f", row.IXPJoules, 0, 1),
-			formatCell("%8.3f", row.JoulesPerRequest, 0, 1),
-			formatCell("%8.0f", row.ServedP95Ms, row.p95CI, reps),
-			row.QoSViolations, row.QoSWindows, row.Transitions)
-	}
+	res := ablation(cfg, "ablation-energy", "Ablation: energy governor (RUBiS; off vs ondemand vs coordinated)", "governor/load",
+		repro.EnergyMatrix(cfg.rubisConfig()), []column[repro.EnergyRow]{
+			{"joules", "%10.1f", func(r repro.EnergyRow) float64 { return r.PlatformJoules }},
+			{"x86(J)", "%9.1f", func(r repro.EnergyRow) float64 { return r.X86Joules }},
+			{"ixp(J)", "%9.1f", func(r repro.EnergyRow) float64 { return r.IXPJoules }},
+			{"J/req", "%8.3f", func(r repro.EnergyRow) float64 { return r.JoulesPerRequest }},
+			{"p95(ms)", "%8.0f", func(r repro.EnergyRow) float64 { return r.ServedP95Ms }},
+			{"qosviol", "%7.0f", func(r repro.EnergyRow) float64 { return float64(r.QoSViolations) }},
+			{"windows", "%7.0f", func(r repro.EnergyRow) float64 { return float64(r.QoSWindows) }},
+			{"trans", "%6.0f", func(r repro.EnergyRow) float64 { return float64(r.Transitions) }},
+		})
 
 	// The headline number: coordinated savings over the uncoordinated
 	// governors at the calibrated 1× point, valid only while the SLO holds.
-	if od, ok1 := res.Row("ondemand", 1); ok1 {
-		if co, ok2 := res.Row("coordinated", 1); ok2 && od.PlatformJoules > 0 {
+	if od, ok1 := res.Row("ondemand/1x"); ok1 {
+		if co, ok2 := res.Row("coordinated/1x"); ok2 && od.PlatformJoules > 0 {
 			saving := 100 * (1 - co.PlatformJoules/od.PlatformJoules)
 			fmt.Printf("\ncoordinated vs ondemand at 1x: %.1f%% fewer joules (p95 %.0fms vs %.0fms, target %.0fms)\n",
 				saving, co.ServedP95Ms, od.ServedP95Ms, float64(repro.DefaultQoSTargetP95/time.Millisecond))
@@ -689,230 +563,40 @@ func ablationEnergy(cfg benchConfig) {
 	}
 }
 
-// aggregatedEnergy is one energy-matrix point folded across repetitions:
-// mean joules/p95 with CI, counters averaged.
-type aggregatedEnergy struct {
-	repro.EnergyRow
-	jCI, p95CI float64
-}
-
-func aggregateEnergyRows(rows []repro.EnergyRow) aggregatedEnergy {
-	var j, p stats.Summary
-	var agg aggregatedEnergy
-	agg.EnergyRow = rows[0]
-	var x86, ixp, jpr float64
-	var viol, win, trans int
-	for _, r := range rows {
-		j.Add(r.PlatformJoules)
-		p.Add(r.ServedP95Ms)
-		x86 += r.X86Joules
-		ixp += r.IXPJoules
-		jpr += r.JoulesPerRequest
-		viol += r.QoSViolations
-		win += r.QoSWindows
-		trans += r.Transitions
-	}
-	n := float64(len(rows))
-	agg.PlatformJoules, agg.jCI = j.Mean(), j.CI95()
-	agg.ServedP95Ms, agg.p95CI = p.Mean(), p.CI95()
-	agg.X86Joules = x86 / n
-	agg.IXPJoules = ixp / n
-	agg.JoulesPerRequest = jpr / n
-	agg.QoSViolations = viol / len(rows)
-	agg.QoSWindows = win / len(rows)
-	agg.Transitions = trans / len(rows)
-	return agg
-}
-
-// aggregatedOverload is one overload-matrix point folded across
-// repetitions: mean goodput/p95 with CI, counters averaged.
-type aggregatedOverload struct {
-	repro.OverloadRow
-	goodCI, p95CI float64
-}
-
-func aggregateOverloadRows(rows []repro.OverloadRow) aggregatedOverload {
-	var g, p stats.Summary
-	var agg aggregatedOverload
-	agg.OverloadRow = rows[0]
-	var qshed, expired, ixp, aband, trig uint64
-	for _, r := range rows {
-		g.Add(r.Goodput)
-		p.Add(r.ServedP95Ms)
-		qshed += r.QueueShed
-		expired += r.Expired
-		ixp += r.IXPShed
-		aband += r.Abandoned
-		trig += r.Triggers
-	}
-	n := uint64(len(rows))
-	agg.Goodput, agg.goodCI = g.Mean(), g.CI95()
-	agg.ServedP95Ms, agg.p95CI = p.Mean(), p.CI95()
-	agg.QueueShed = qshed / n
-	agg.Expired = expired / n
-	agg.IXPShed = ixp / n
-	agg.Abandoned = aband / n
-	agg.Triggers = trig / n
-	return agg
-}
-
 // ablationFailover runs the controller-availability matrix
-// (repro.FailoverScenarios): a solo controller (checkpointing, nothing to
+// (repro.FailoverMatrix): a solo controller (checkpointing, nothing to
 // fail over to) against a 3-replica group with deterministic election,
 // under primary crash and partition windows. The availability claim: with
 // replication, a mid-run primary death costs a bounded election window
 // (promotions > 0, no-primary drops bounded) instead of losing
 // coordination for the rest of the window.
 func ablationFailover(cfg benchConfig) {
-	res, err := repro.RunFailoverMatrix(
-		repro.RubisConfig{Seed: cfg.seed, Duration: cfg.rubisDur},
-		cfg.facadeOptions("ablation-failover"),
-	)
-	if err != nil {
-		die(err)
-	}
-
-	fmt.Println("Ablation: controller failover (RUBiS; solo vs replicated controller)")
-	reps := res.Sweep.Reps
-	fmt.Printf("%-18s | %-10s | %9s %9s | %8s %8s %8s %8s %8s\n",
-		"scenario", "plane", "tput(r/s)", "mean(ms)", "ckpts", "promote", "stale", "noprim", "shed")
-	for pi := 0; pi*reps < len(res.Rows); pi++ {
-		row := aggregateFailoverRows(res.Rows[pi*reps : (pi+1)*reps])
-		fmt.Printf("%-18s | %-10s | %s %s | %s %s %s %s %s\n",
-			row.Scenario, row.Plane,
-			formatCell("%9.1f", row.Throughput, row.tputCI, reps),
-			formatCell("%9.0f", row.MeanMs, row.meanCI, reps),
-			formatCell("%8.0f", float64(row.Checkpoints), 0, 1),
-			formatCell("%8.0f", float64(row.Promotions), 0, 1),
-			formatCell("%8.0f", float64(row.StaleDropped), 0, 1),
-			formatCell("%8.0f", float64(row.NoPrimaryDrops), 0, 1),
-			formatCell("%8.0f", float64(row.Shed), 0, 1))
-	}
-}
-
-// aggregatedFailover is one failover-matrix point folded across
-// repetitions.
-type aggregatedFailover struct {
-	repro.FailoverRow
-	tputCI, meanCI float64
-}
-
-func aggregateFailoverRows(rows []repro.FailoverRow) aggregatedFailover {
-	var t, m stats.Summary
-	var agg aggregatedFailover
-	agg.FailoverRow = rows[0]
-	var ckpts, promote, stale, noprim, shed uint64
-	for _, r := range rows {
-		t.Add(r.Throughput)
-		m.Add(r.MeanMs)
-		ckpts += r.Checkpoints
-		promote += r.Promotions
-		stale += r.StaleDropped
-		noprim += r.NoPrimaryDrops
-		shed += r.Shed
-	}
-	n := uint64(len(rows))
-	agg.Throughput, agg.tputCI = t.Mean(), t.CI95()
-	agg.MeanMs, agg.meanCI = m.Mean(), m.CI95()
-	agg.Checkpoints = ckpts / n
-	agg.Promotions = promote / n
-	agg.StaleDropped = stale / n
-	agg.NoPrimaryDrops = noprim / n
-	agg.Shed = shed / n
-	return agg
+	ablation(cfg, "ablation-failover", "Ablation: controller failover (RUBiS; solo vs replicated controller)", "scenario/plane",
+		repro.FailoverMatrix(cfg.rubisConfig()), []column[repro.FailoverRow]{
+			{"tput(r/s)", "%9.1f", func(r repro.FailoverRow) float64 { return r.Throughput }},
+			{"mean(ms)", "%9.0f", func(r repro.FailoverRow) float64 { return r.MeanMs }},
+			{"ckpts", "%8.0f", func(r repro.FailoverRow) float64 { return float64(r.Checkpoints) }},
+			{"promote", "%8.0f", func(r repro.FailoverRow) float64 { return float64(r.Promotions) }},
+			{"stale", "%8.0f", func(r repro.FailoverRow) float64 { return float64(r.StaleDropped) }},
+			{"noprim", "%8.0f", func(r repro.FailoverRow) float64 { return float64(r.NoPrimaryDrops) }},
+			{"shed", "%8.0f", func(r repro.FailoverRow) float64 { return float64(r.Shed) }},
+		})
 }
 
 // ablationScenarios runs the trace-driven scenario matrix
-// (repro.ScenarioCatalog): one scenario per generator family, each on the
+// (repro.ScenarioMatrix): one scenario per generator family, each on the
 // base and the coordinated plane. The claim: coordination helps (or at
 // worst matches the baseline) across workload shapes the closed-loop
 // client cannot express — flash crowds, diurnal curves, heavy-tailed
 // sessions, inference serving, and key-value traffic.
 func ablationScenarios(cfg benchConfig) {
-	res, err := repro.RunScenarioMatrix(
-		repro.RubisConfig{Seed: cfg.seed, Duration: cfg.rubisDur},
-		cfg.facadeOptions("ablation-scenarios"),
-	)
-	if err != nil {
-		die(err)
-	}
-
-	fmt.Println("Ablation: trace-driven scenarios (base vs coordinated plane)")
-	reps := res.Sweep.Reps
-	fmt.Printf("%-22s | %-5s | %9s %9s %8s | %8s %8s %8s\n",
-		"scenario", "plane", "tput(r/s)", "mean(ms)", "sessions", "shed", "abandon", "retrans")
-	for pi := 0; pi*reps < len(res.Rows); pi++ {
-		row := aggregateScenarioRows(res.Rows[pi*reps : (pi+1)*reps])
-		fmt.Printf("%-22s | %-5s | %s %s %s | %s %s %s\n",
-			row.Scenario, row.Plane,
-			formatCell("%9.1f", row.Throughput, row.tputCI, reps),
-			formatCell("%9.0f", row.MeanMs, row.meanCI, reps),
-			formatCell("%8.0f", float64(row.Sessions), 0, 1),
-			formatCell("%8.0f", float64(row.Shed), 0, 1),
-			formatCell("%8.0f", float64(row.Abandoned), 0, 1),
-			formatCell("%8.0f", float64(row.Retransmits), 0, 1))
-	}
-}
-
-// aggregatedScenario is one scenario-matrix point folded across
-// repetitions.
-type aggregatedScenario struct {
-	repro.ScenarioRow
-	tputCI, meanCI float64
-}
-
-func aggregateScenarioRows(rows []repro.ScenarioRow) aggregatedScenario {
-	var t, m stats.Summary
-	var agg aggregatedScenario
-	agg.ScenarioRow = rows[0]
-	var sessions int
-	var shed, aband, retrans uint64
-	for _, r := range rows {
-		t.Add(r.Throughput)
-		m.Add(r.MeanMs)
-		sessions += r.Sessions
-		shed += r.Shed
-		aband += r.Abandoned
-		retrans += r.Retransmits
-	}
-	n := len(rows)
-	agg.Throughput, agg.tputCI = t.Mean(), t.CI95()
-	agg.MeanMs, agg.meanCI = m.Mean(), m.CI95()
-	agg.Sessions = sessions / n
-	agg.Shed = shed / uint64(n)
-	agg.Abandoned = aband / uint64(n)
-	agg.Retransmits = retrans / uint64(n)
-	return agg
-}
-
-// aggregatedFaults is one fault-matrix point folded across repetitions:
-// mean throughput/latency with CI, counters averaged (rounded in print).
-type aggregatedFaults struct {
-	repro.FaultsRow
-	tputCI, meanCI float64
-}
-
-func aggregateFaultsRows(rows []repro.FaultsRow) aggregatedFaults {
-	var t, m stats.Summary
-	var agg aggregatedFaults
-	agg.FaultsRow = rows[0]
-	var retrans, expired, degrade, revert, shed uint64
-	for _, r := range rows {
-		t.Add(r.Throughput)
-		m.Add(r.MeanMs)
-		retrans += r.Retransmits
-		expired += r.Expired
-		degrade += r.Degradations
-		revert += r.BaselineReverts
-		shed += r.Shed
-	}
-	n := uint64(len(rows))
-	agg.Throughput, agg.tputCI = t.Mean(), t.CI95()
-	agg.MeanMs, agg.meanCI = m.Mean(), m.CI95()
-	agg.Retransmits = retrans / n
-	agg.Expired = expired / n
-	agg.Degradations = degrade / n
-	agg.BaselineReverts = revert / n
-	agg.Shed = shed / n
-	return agg
+	ablation(cfg, "ablation-scenarios", "Ablation: trace-driven scenarios (base vs coordinated plane)", "scenario/plane",
+		repro.ScenarioMatrix(cfg.rubisConfig()), []column[repro.ScenarioRow]{
+			{"tput(r/s)", "%9.1f", func(r repro.ScenarioRow) float64 { return r.Throughput }},
+			{"mean(ms)", "%9.0f", func(r repro.ScenarioRow) float64 { return r.MeanMs }},
+			{"sessions", "%8.0f", func(r repro.ScenarioRow) float64 { return float64(r.Sessions) }},
+			{"shed", "%8.0f", func(r repro.ScenarioRow) float64 { return float64(r.Shed) }},
+			{"abandon", "%8.0f", func(r repro.ScenarioRow) float64 { return float64(r.Abandoned) }},
+			{"retrans", "%8.0f", func(r repro.ScenarioRow) float64 { return float64(r.Retransmits) }},
+		})
 }

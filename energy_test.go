@@ -24,8 +24,8 @@ func TestEnergyMatrixParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration test")
 	}
-	run := func(workers int) (*EnergyMatrixResult, []byte) {
-		res, err := RunEnergyMatrix(energyMatrixCfg(), SweepOptions{Workers: workers, Seed: 1})
+	run := func(workers int) (*MatrixResult[EnergyRow], []byte) {
+		res, err := RunMatrix(EnergyMatrix(energyMatrixCfg()), SweepOptions{Workers: workers, Seed: 1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -41,13 +41,13 @@ func TestEnergyMatrixParallelDeterminism(t *testing.T) {
 	if string(seqJSON) != string(parJSON) {
 		t.Fatalf("parallel sweep diverged from sequential:\nworkers=1:\n%s\nworkers=8:\n%s", seqJSON, parJSON)
 	}
-	if len(par.Rows) != len(EnergyMatrixPoints(energyMatrixCfg())) {
-		t.Fatalf("matrix produced %d rows, want %d", len(par.Rows), len(EnergyMatrixPoints(energyMatrixCfg())))
+	if want := len(EnergyMatrix(energyMatrixCfg()).Points); len(par.Rows) != want {
+		t.Fatalf("matrix produced %d rows, want %d", len(par.Rows), want)
 	}
 
 	// The matrix must actually exercise the DVFS machinery, or the
 	// byte-compare proves nothing interesting.
-	off, ok := par.Row("off", 1)
+	off, ok := par.Row("off/1x")
 	if !ok {
 		t.Fatal("matrix lost its off/1x point")
 	}
@@ -57,7 +57,7 @@ func TestEnergyMatrixParallelDeterminism(t *testing.T) {
 	if off.PlatformJoules <= 0 {
 		t.Error("metering-only run accrued no joules")
 	}
-	coord, ok := par.Row("coordinated", 0.5)
+	coord, ok := par.Row("coordinated/0.5x")
 	if !ok {
 		t.Fatal("matrix lost its coordinated/0.5x point")
 	}

@@ -6,18 +6,25 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"log"
 
+	"repro/internal/flight"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
 	// Build the testbed: a dual-core Xen host plus an IXP2850 over PCIe,
-	// with the coordination plane registered between them. Coordination
-	// events are recorded in a structured trace.
-	p := platform.New(platform.Config{Seed: 42, Trace: trace.CatCoord})
+	// with the coordination plane registered between them. The flight
+	// recorder logs every coordination decision into an in-memory buffer.
+	var buf bytes.Buffer
+	rec, err := flight.NewRecorder(&buf, 42, nil, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	p := platform.New(platform.Config{Seed: 42, Flight: rec})
 
 	// Deploy a guest VM. AddGuest registers it with the global controller
 	// and provisions its flow queue on the IXP, so both islands can name it.
@@ -56,7 +63,16 @@ func main() {
 	fmt.Printf("after 1s simulated: VM used %.0f%% CPU, coordination stats: %+v\n",
 		p.TotalGuestUtilization(0), p.IXPAgent.Stats())
 
-	// The coordination plane left a structured trace of everything above.
-	fmt.Println("\ncoordination trace:")
-	fmt.Print(p.Tracer.Dump(trace.CatCoord))
+	// Decode the flight log: every send, actuation and weight change above.
+	if err := rec.Close(); err != nil {
+		log.Fatal(err)
+	}
+	flog, err := flight.Decode(buf.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\nflight log:")
+	for _, e := range flog.Events {
+		fmt.Println(e)
+	}
 }

@@ -12,8 +12,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/sweep"
 )
 
 // failoverChaosPlan is the canonical mid-run primary death: the initial
@@ -49,54 +47,37 @@ func TestChaosControllerCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration test")
 	}
-	type foPointCfg struct {
-		Name     string  `json:"name"`
-		Replicas int     `json:"replicas"`
-		Crash    bool    `json:"crash"`
-		Load     float64 `json:"load,omitempty"`
+	// 1x: weight-tuning coordination, mid-run 10s primary death.
+	replicated := func(plan *FaultPlan) RubisConfig {
+		cfg := chaosRubisCfg(1)
+		cfg.Failover = &FailoverControl{Replicas: 3}
+		cfg.Faults = plan
+		return cfg
 	}
-	points := []sweep.Point{
-		{Name: "clean/replicated", Config: foPointCfg{Name: "clean", Replicas: 3}},
-		{Name: "crash/replicated", Config: foPointCfg{Name: "crash", Replicas: 3, Crash: true}},
-		{Name: "crash2x/replicated", Config: foPointCfg{Name: "crash2x", Replicas: 3, Crash: true, Load: 2}},
-		{Name: "crash2x/solo", Config: foPointCfg{Name: "crash2x-solo", Replicas: 1, Crash: true, Load: 2}},
-	}
-	res, err := sweep.Run(points, func(tr sweep.Trial) (any, error) {
-		pc := tr.Point.Config.(foPointCfg)
-		cfg := chaosRubisCfg(tr.Seed)
-		cfg.Failover = &FailoverControl{Replicas: pc.Replicas}
-		if pc.Load == 0 {
-			// 1x: weight-tuning coordination, mid-run 10s primary death.
-			if pc.Crash {
-				cfg.Faults = failoverChaosPlan()
-			}
-			return RunRubis(cfg, true), nil
-		}
-		// 2x: coordinated NIC shedding under saturation, with the primary
-		// dead from the end of warmup through the session ramp.
-		if pc.Crash {
-			cfg.Faults = failoverRampPlan()
-		}
-		cfg.LoadFactor = pc.Load
+	// 2x: coordinated NIC shedding under saturation, with the primary dead
+	// from the end of warmup through the session ramp.
+	saturated := func(replicas int) RubisConfig {
+		cfg := chaosRubisCfg(1)
+		cfg.Failover = &FailoverControl{Replicas: replicas}
+		cfg.Faults = failoverRampPlan()
+		cfg.LoadFactor = 2
 		cfg.RequestTimeout = 2 * time.Second
 		cfg.Overload = &OverloadControl{
 			QueueCap: 64, QueueDeadline: 300 * time.Millisecond,
 			Threshold: 150 * time.Millisecond, Coordinated: true,
 		}
-		return RunRubis(cfg, false), nil
-	}, sweep.Options{Seed: 1})
+		return cfg
+	}
+	res, err := RunMatrix(Matrix[RubisRun]{Project: wholeRun, Points: []MatrixPoint{
+		{Name: "clean/replicated", Config: replicated(nil), Coordinated: true},
+		{Name: "crash/replicated", Config: replicated(failoverChaosPlan()), Coordinated: true},
+		{Name: "crash2x/replicated", Config: saturated(3)},
+		{Name: "crash2x/solo", Config: saturated(1)},
+	}}, SweepOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Err(); err != nil {
-		t.Fatal(err)
-	}
-	var clean, crash, crash2x, solo2x RubisRun
-	for i, dst := range []*RubisRun{&clean, &crash, &crash2x, &solo2x} {
-		if err := res.Decode(i, dst); err != nil {
-			t.Fatal(err)
-		}
-	}
+	clean, crash, crash2x, solo2x := res.Rows[0], res.Rows[1], res.Rows[2], res.Rows[3]
 
 	// 1x contract: a primary death costs a bounded election window, so the
 	// run stays within the oracle catalog's goodput floor (and bounded
@@ -189,8 +170,8 @@ func TestFailoverMatrixParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration test")
 	}
-	run := func(workers int) (*FailoverMatrixResult, []byte) {
-		res, err := RunFailoverMatrix(chaosMatrixCfg(), SweepOptions{Workers: workers, Seed: 1})
+	run := func(workers int) (*MatrixResult[FailoverRow], []byte) {
+		res, err := RunMatrix(FailoverMatrix(chaosMatrixCfg()), SweepOptions{Workers: workers, Seed: 1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -206,13 +187,13 @@ func TestFailoverMatrixParallelDeterminism(t *testing.T) {
 	if string(seqJSON) != string(parJSON) {
 		t.Fatalf("parallel failover sweep diverged from sequential:\nworkers=1:\n%s\nworkers=8:\n%s", seqJSON, parJSON)
 	}
-	if len(par.Rows) != len(FailoverMatrixPoints(chaosMatrixCfg())) {
-		t.Fatalf("matrix produced %d rows, want %d", len(par.Rows), len(FailoverMatrixPoints(chaosMatrixCfg())))
+	if want := len(FailoverMatrix(chaosMatrixCfg()).Points); len(par.Rows) != want {
+		t.Fatalf("matrix produced %d rows, want %d", len(par.Rows), want)
 	}
 
 	// Elections must actually fire inside the matrix, or the byte-compare
 	// proves nothing about failover determinism.
-	crashRow, ok := par.Row("primary crash", "replicated")
+	crashRow, ok := par.Row("primary crash/replicated")
 	if !ok {
 		t.Fatal("matrix lost its primary crash/replicated point")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Actuator translates incoming coordination messages into an island's
@@ -88,8 +87,7 @@ type Agent struct {
 	limiter  *RateLimiter
 	stats    AgentStats
 
-	trace  func(Message) // optional message tap for tests/harness
-	tracer *trace.Tracer // optional structured-event trace
+	trace func(Message) // optional message tap for tests/harness
 
 	flight      *flight.Recorder  // optional flight recorder
 	fsim        *sim.Simulator    // timestamp source for flight events
@@ -138,12 +136,6 @@ func (a *Agent) SetLimiter(l *RateLimiter) { a.limiter = l }
 // applies.
 func WithTrace(fn func(Message)) AgentOption {
 	return func(a *Agent) { a.trace = fn }
-}
-
-// WithTracer records every sent and applied message into a structured
-// event trace (category CatCoord).
-func WithTracer(t *trace.Tracer) AgentOption {
-	return func(a *Agent) { a.tracer = t }
 }
 
 // NewAgent creates an island agent. For remote islands, uplink carries
@@ -251,18 +243,12 @@ func (a *Agent) setDegraded(d bool) {
 	a.degraded = d
 	if d {
 		a.stats.Degradations++
-		if a.tracer.Enabled(trace.CatCoord) {
-			a.tracer.Emit(trace.CatCoord, "agent %s degraded: uplink believed dead", a.name)
-		}
 		if a.dcfg.OnDegrade != nil {
 			a.dcfg.OnDegrade()
 		}
 		return
 	}
 	a.stats.Recoveries++
-	if a.tracer.Enabled(trace.CatCoord) {
-		a.tracer.Emit(trace.CatCoord, "agent %s recovered: uplink healthy", a.name)
-	}
 	if a.dcfg.OnRecover != nil {
 		a.dcfg.OnRecover()
 	}
@@ -326,9 +312,6 @@ func (a *Agent) send(msg Message) bool {
 	if a.trace != nil {
 		a.trace(msg)
 	}
-	if a.tracer.Enabled(trace.CatCoord) {
-		a.tracer.Emit(trace.CatCoord, "send %v", msg)
-	}
 	if a.flight != nil {
 		a.flight.Record(flight.Event{
 			T: a.fsim.Now(), Cat: flight.CatSend, Code: uint8(msg.Kind),
@@ -371,9 +354,6 @@ func (a *Agent) Deliver(msg Message) {
 	}
 	if a.trace != nil {
 		a.trace(msg)
-	}
-	if a.tracer.Enabled(trace.CatCoord) {
-		a.tracer.Emit(trace.CatCoord, "apply %v", msg)
 	}
 	if a.flight != nil {
 		a.flight.Record(flight.Event{

@@ -9,7 +9,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/xen"
 )
 
@@ -665,22 +664,6 @@ func TestIXPPollActuator(t *testing.T) {
 	}
 	if err := a.ApplyTrigger(9); err == nil {
 		t.Fatal("unknown flow trigger accepted")
-	}
-}
-
-func TestAgentTracerRecordsMessages(t *testing.T) {
-	s := sim.New(1)
-	tr := trace.New(s, trace.CatCoord, 64)
-	act := &fakeActuator{}
-	a := NewAgent("x86", nil, func(Message) {}, act, WithTracer(tr))
-	a.SendTune("ixp", 1, +5)
-	a.Deliver(Message{Kind: KindTrigger, Entity: 1})
-	if tr.Count() != 2 {
-		t.Fatalf("tracer recorded %d events, want 2", tr.Count())
-	}
-	evs := tr.Events()
-	if !strings.Contains(evs[0].Msg, "send") || !strings.Contains(evs[1].Msg, "apply") {
-		t.Fatalf("events = %v", evs)
 	}
 }
 

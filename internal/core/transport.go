@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Transport carries coordination messages from one island toward the
@@ -25,7 +24,6 @@ type MailboxTransport struct {
 	mb     *pcie.Mailbox
 	toHost bool
 
-	tracer   *trace.Tracer
 	nonCoord uint64
 	corrupt  uint64
 }
@@ -40,9 +38,6 @@ func NewDeviceUplink(mb *pcie.Mailbox) *MailboxTransport {
 func NewHostDownlink(mb *pcie.Mailbox) *MailboxTransport {
 	return &MailboxTransport{mb: mb, toHost: false}
 }
-
-// SetTracer records dropped foreign messages into a structured trace.
-func (t *MailboxTransport) SetTracer(tr *trace.Tracer) { t.tracer = tr }
 
 // NonCoordDropped returns how many non-coordination messages arrived on the
 // mailbox and were discarded.
@@ -77,16 +72,10 @@ func (t *MailboxTransport) SetReceiver(fn func(Message)) {
 		cm, ok := m.(Message)
 		if !ok {
 			t.nonCoord++
-			if t.tracer.Enabled(trace.CatCoord) {
-				t.tracer.Emit(trace.CatCoord, "drop non-coordination mailbox message %T", m)
-			}
 			return
 		}
 		if cm.Sum != 0 && cm.Sum != cm.PayloadSum() {
 			t.corrupt++
-			if t.tracer.Enabled(trace.CatCoord) {
-				t.tracer.Emit(trace.CatCoord, "drop corrupt mailbox frame %v", cm.Kind)
-			}
 			return
 		}
 		fn(cm)
@@ -109,7 +98,6 @@ type SimTransport struct {
 	latency sim.Time
 	recv    func(Message)
 	faults  *pcie.ChannelFaults
-	tracer  *trace.Tracer
 
 	sent        uint64
 	dropped     uint64 // messages with no receiver installed
@@ -128,9 +116,6 @@ func NewSimTransport(s *sim.Simulator, latency sim.Time) *SimTransport {
 // SetFaults arms a fault process on the transport (nil disarms).
 func (t *SimTransport) SetFaults(f *pcie.ChannelFaults) { t.faults = f }
 
-// SetTracer records dropped messages into a structured trace.
-func (t *SimTransport) SetTracer(tr *trace.Tracer) { t.tracer = tr }
-
 // Send conveys msg after the configured latency. A message sent while no
 // receiver is installed is counted in Dropped instead of vanishing.
 func (t *SimTransport) Send(msg Message) {
@@ -148,16 +133,10 @@ func (t *SimTransport) Send(msg Message) {
 		t.sim.After(t.latency+v.Delay, func() {
 			if t.recv == nil {
 				t.dropped++
-				if t.tracer.Enabled(trace.CatCoord) {
-					t.tracer.Emit(trace.CatCoord, "drop (no receiver) %v", msg)
-				}
 				return
 			}
 			if msg.Sum != 0 && msg.Sum != msg.PayloadSum() {
 				t.corruptLost++
-				if t.tracer.Enabled(trace.CatCoord) {
-					t.tracer.Emit(trace.CatCoord, "drop corrupt frame %v", msg.Kind)
-				}
 				return
 			}
 			t.recv(msg)

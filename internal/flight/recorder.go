@@ -15,8 +15,8 @@ import (
 //     decoded log, and the first divergence is retained for Divergence().
 //
 // A nil *Recorder is valid everywhere and records nothing; event sites
-// follow the nil-*Tracer convention (`if rec != nil { rec.Record(...) }`),
-// so a disabled recorder costs exactly one branch per site. Recording is
+// guard each tap (`if rec != nil { rec.Record(...) }`), so a disabled
+// recorder costs exactly one branch per site. Recording is
 // purely observational: it draws no randomness and schedules nothing, so an
 // armed recorder never changes simulated metrics.
 type Recorder struct {

@@ -30,7 +30,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Hardware constants of the IXP2850 as described in the paper (§2.1).
@@ -119,7 +118,6 @@ type IXP struct {
 	xsc    *XScale
 	dpis   []DPI
 	txDPIs []DPI
-	tracer *trace.Tracer
 	rec    *flight.Recorder
 
 	flows     map[int]*FlowQueue // keyed by destination VM
@@ -190,9 +188,6 @@ func (x *IXP) Config() Config { return x.cfg }
 
 // XScale returns the control core, home of the IXP-side coordination agent.
 func (x *IXP) XScale() *XScale { return x.xsc }
-
-// SetTracer installs a structured-event tracer (nil disables tracing).
-func (x *IXP) SetTracer(t *trace.Tracer) { x.tracer = t }
 
 // SetFlightRecorder taps flow-thread changes, poll-interval changes, and
 // admission-gate sheds into the flight recorder (nil disables).
@@ -356,9 +351,6 @@ func (x *IXP) Receive(p *netsim.Packet) {
 	// flow queue.
 	if !x.rx.enqueue(p) {
 		x.rxDropped++
-		if x.tracer.Enabled(trace.CatNet) {
-			x.tracer.Emit(trace.CatNet, "ixp drop: rx ring full (pkt %d)", p.ID)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package ixp
 import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // FlowQueue is a per-VM packet queue in IXP DRAM, served by a configurable
@@ -96,7 +95,6 @@ func (q *FlowQueue) enqueue(p *netsim.Packet) bool {
 	}
 	if q.watermark > 0 && q.watermarkArmed && q.bytes >= q.watermark && q.watermarkFn != nil {
 		q.watermarkArmed = false
-		q.x.tracer.Emit(trace.CatNet, "ixp watermark: flow %d crossed %dB (now %dB)", q.vmID, q.watermark, q.bytes)
 		q.watermarkFn(q.bytes)
 	}
 	return true

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/netsim"
-	"repro/internal/trace"
 )
 
 // rxStage is the receive classification stage: packets from the wire queue
@@ -130,9 +129,6 @@ func (x *IXP) classify(p *netsim.Packet) {
 	if x.admit != nil {
 		if resp, ok := x.admit(p); !ok {
 			x.rxShed++
-			if x.tracer.Enabled(trace.CatNet) {
-				x.tracer.Emit(trace.CatNet, "ixp shed: admission gate (pkt %d)", p.ID)
-			}
 			if x.rec != nil {
 				x.rec.Record(flight.Event{
 					T: x.sim.Now(), Cat: flight.CatIXP, Code: flight.IXPGateShed,
@@ -151,13 +147,9 @@ func (x *IXP) classify(p *netsim.Packet) {
 	q, ok := x.flows[p.DstVM]
 	if !ok {
 		x.rxDropped++
-		x.tracer.Emit(trace.CatNet, "ixp drop: no flow for VM %d (pkt %d)", p.DstVM, p.ID)
 		return
 	}
 	if !q.enqueue(p) {
 		x.rxDropped++
-		if x.tracer.Enabled(trace.CatNet) {
-			x.tracer.Emit(trace.CatNet, "ixp drop: flow %d buffer full (%dB)", p.DstVM, q.Bytes())
-		}
 	}
 }

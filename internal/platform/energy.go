@@ -181,9 +181,9 @@ func (p *Platform) enableEnergy(cfg EnergyConfig) {
 		registerIsland = p.Group.RegisterIsland
 		registerEntity = p.Group.RegisterEntity
 	}
-	x86Agent := core.NewAgent(X86DVFSIsland, nil, route, core.NewDVFSActuator(x86m), core.WithTracer(p.Tracer))
+	x86Agent := core.NewAgent(X86DVFSIsland, nil, route, core.NewDVFSActuator(x86m))
 	x86Agent.SetFlightRecorder(s, p.cfg.Flight)
-	ixpAgent := core.NewAgent(IXPDVFSIsland, nil, route, core.NewDVFSActuator(ixpm), core.WithTracer(p.Tracer))
+	ixpAgent := core.NewAgent(IXPDVFSIsland, nil, route, core.NewDVFSActuator(ixpm))
 	ixpAgent.SetFlightRecorder(s, p.cfg.Flight)
 	for _, reg := range []struct {
 		island core.IslandHandle

@@ -22,7 +22,6 @@ import (
 	"repro/internal/overload"
 	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/xen"
 )
 
@@ -50,12 +49,6 @@ type Config struct {
 	// (defaults 64 and 1024).
 	MinGuestWeight, MaxGuestWeight int
 
-	// Trace, when non-zero, records structured events of the given
-	// categories into Platform.Tracer (ring of TraceCapacity events,
-	// default trace.DefaultCapacity).
-	Trace         trace.Category
-	TraceCapacity int
-
 	// Flight, when non-nil, taps every coordination-plane decision —
 	// sends, actuations, weight changes, boosts, IXP adjustments, breaker
 	// transitions, lease events — into the flight recorder (which may also
@@ -65,8 +58,7 @@ type Config struct {
 
 	// CoordLossRate injects uniform coordination-message loss on the
 	// mailbox (0 = lossless). It is legacy shorthand for a CoordFaults
-	// plan containing only LossRate and is ignored when CoordFaults is
-	// set.
+	// plan containing only LossRate; setting both is an error.
 	CoordLossRate float64
 
 	// CoordFaults arms the full deterministic fault-injection harness on
@@ -82,11 +74,12 @@ type Config struct {
 	Reliable    bool
 	ReliableCfg core.ReliableConfig
 
-	// Breaker, when non-nil (and Reliable is set), arms a circuit breaker
+	// Breaker, when non-nil, arms a circuit breaker
 	// on each mailbox endpoint's send path: retry exhaustion opens the
 	// breaker and further coordination sends fail fast into the
 	// graceful-degradation machinery instead of growing retransmit state.
 	// Each endpoint derives its own probe-jitter seed from Breaker.Seed.
+	// It requires Reliable: the breaker guards the reliable endpoints.
 	Breaker *overload.BreakerConfig
 
 	// Failover, when non-nil, replicates the controller: the group
@@ -152,6 +145,18 @@ func (c *Config) applyDefaults() {
 	if c.DegradeHold == 0 {
 		c.DegradeHold = 500 * sim.Millisecond
 	}
+}
+
+// validate rejects settings that contradict each other instead of
+// silently ignoring one of them.
+func (c *Config) validate() error {
+	if c.CoordLossRate > 0 && c.CoordFaults != nil {
+		return fmt.Errorf("CoordLossRate %g set together with CoordFaults; put the loss in the plan's LossRate", c.CoordLossRate)
+	}
+	if c.Breaker != nil && !c.Reliable {
+		return fmt.Errorf("Breaker set without Reliable; the breaker guards the reliable endpoints' send path")
+	}
+	return nil
 }
 
 // Robustness aggregates the coordination plane's reliability counters from
@@ -233,7 +238,6 @@ type Platform struct {
 	IXPAgent *core.Agent
 	X86Act   *core.X86Actuator
 	IXPAct   *core.IXPActuator
-	Tracer   *trace.Tracer
 
 	// Energy subsystem handles (nil unless Config.Energy): the per-island
 	// DVFS state machines, the integrating meter, and — in coordinated
@@ -262,15 +266,12 @@ type Platform struct {
 // New assembles the two-island prototype and starts the hypervisor.
 func New(cfg Config) *Platform {
 	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil {
+		panic(fmt.Sprintf("platform: invalid config: %v", err))
+	}
 	s := sim.New(cfg.Seed)
 
-	var tracer *trace.Tracer
-	if cfg.Trace != 0 {
-		tracer = trace.New(s, cfg.Trace, cfg.TraceCapacity)
-	}
-
 	hv := xen.New(s, cfg.Xen)
-	hv.SetTracer(tracer)
 	dom0 := hv.CreateDomain("Dom0", cfg.Dom0Weight, 1)
 	ctl := xen.NewCtl(hv)
 	ctl.SetFlightRecorder(cfg.Flight)
@@ -281,7 +282,6 @@ func New(cfg Config) *Platform {
 
 	host := netsim.NewHostStack(s, dom0, hostToIXP, cfg.HostNet)
 	x := ixp.New(s, cfg.IXP, ixpToHost, host.DeliverFromIXP)
-	x.SetTracer(tracer)
 	x.SetFlightRecorder(cfg.Flight)
 	host.ConnectIXPTransmit(x.TransmitFromHost)
 	x.ConnectHostGate(host.RingFull)
@@ -328,16 +328,14 @@ func New(cfg Config) *Platform {
 	x86Act := core.NewX86Actuator(ctl)
 	x86Act.MinWeight = cfg.MinGuestWeight
 	x86Act.MaxWeight = cfg.MaxGuestWeight
-	x86Agent := core.NewAgent(X86Island, nil, route, x86Act, core.WithTracer(tracer))
+	x86Agent := core.NewAgent(X86Island, nil, route, x86Act)
 	x86Agent.SetFlightRecorder(s, cfg.Flight)
 	if err := registerIsland(core.IslandHandle{Name: X86Island, Local: x86Agent.Deliver}); err != nil {
 		panic(fmt.Sprintf("platform: registering x86 island: %v", err))
 	}
 
 	rawUp := core.NewDeviceUplink(mb)
-	rawUp.SetTracer(tracer)
 	rawDown := core.NewHostDownlink(mb)
-	rawDown.SetTracer(tracer)
 	if cfg.TriggerBurst > 1 && cfg.TriggerRefill > 0 {
 		x86Agent.SetLimiter(core.NewTokenBucketRateLimiter(s, cfg.TriggerRefill, cfg.TriggerBurst))
 	}
@@ -357,7 +355,6 @@ func New(cfg Config) *Platform {
 	if cfg.TuneRateLimit > 0 {
 		ixpOpts = append(ixpOpts, core.WithRateLimit(s, cfg.TuneRateLimit))
 	}
-	ixpOpts = append(ixpOpts, core.WithTracer(tracer))
 
 	var (
 		ixpUplink   core.Transport = rawUp
@@ -406,7 +403,6 @@ func New(cfg Config) *Platform {
 
 	p := &Platform{
 		Sim:        s,
-		Tracer:     tracer,
 		HV:         hv,
 		Dom0:       dom0,
 		Ctl:        ctl,

@@ -1,11 +1,14 @@
 package platform
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"repro/internal/flight"
+	"repro/internal/overload"
+	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestNewWiresBothIslands(t *testing.T) {
@@ -149,26 +152,53 @@ func TestUnknownEntityTuneIsDropped(t *testing.T) {
 }
 
 func TestPlatformTracing(t *testing.T) {
-	p := New(Config{Trace: trace.CatCoord | trace.CatSched, TraceCapacity: 1024})
+	var buf bytes.Buffer
+	rec, err := flight.NewRecorder(&buf, 1, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(Config{Flight: rec})
 	d := p.AddGuest("vm", 256)
 	d.SubmitFunc(5*sim.Millisecond, "work", nil)
 	p.IXPAgent.SendTune(X86Island, d.ID(), +64)
 	p.Sim.RunUntil(10 * sim.Millisecond)
-	if p.Tracer == nil {
-		t.Fatal("tracer not created")
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if p.Tracer.Count() == 0 {
-		t.Fatal("no events recorded")
+	log, err := flight.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
-	dump := p.Tracer.Dump(trace.CatAll)
-	for _, want := range []string{"send tune", "apply tune", "run vm/0"} {
-		if !strings.Contains(dump, want) {
-			t.Fatalf("trace missing %q:\n%s", want, dump)
+	var dump strings.Builder
+	for _, e := range log.Events {
+		dump.WriteString(e.String() + "\n")
+	}
+	for _, want := range []string{"[send] tune", "[apply] tune", "[weight]"} {
+		if !strings.Contains(dump.String(), want) {
+			t.Fatalf("flight log missing %q:\n%s", want, dump.String())
 		}
 	}
-	// Tracing off by default.
-	p2 := New(Config{})
-	if p2.Tracer != nil {
-		t.Fatal("tracer created without Trace config")
+}
+
+// TestNewRejectsContradictoryConfig: settings that contradict each other
+// panic with a diagnosable message instead of one being silently ignored.
+func TestNewRejectsContradictoryConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"loss rate with fault plan", Config{CoordLossRate: 0.1, CoordFaults: &pcie.FaultPlan{LossRate: 0.2}}, "CoordLossRate"},
+		{"breaker without reliable", Config{Breaker: &overload.BreakerConfig{}}, "Breaker"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "platform: invalid config: ") || !strings.Contains(msg, tc.want) {
+					t.Errorf("New panicked with %q, want an invalid-config message naming %s", msg, tc.want)
+				}
+			}()
+			New(tc.cfg)
+		})
 	}
 }

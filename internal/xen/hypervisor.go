@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Options configures the hypervisor. Zero fields take the defaults matching
@@ -80,14 +79,10 @@ type Hypervisor struct {
 	maxMHz  int64
 
 	stopFns []func()
-	tracer  *trace.Tracer
 
 	preemptions uint64
 	schedules   uint64
 }
-
-// SetTracer installs a structured-event tracer (nil disables tracing).
-func (hv *Hypervisor) SetTracer(t *trace.Tracer) { hv.tracer = t }
 
 // New creates a hypervisor on the given simulator. Call Start after creating
 // the initial domains.
@@ -365,10 +360,6 @@ func (hv *Hypervisor) dispatch() {
 // (timeslice expiry or current-task completion).
 func (hv *Hypervisor) startRun(p *PCPU, v *VCPU) {
 	hv.schedules++
-	if hv.tracer.Enabled(trace.CatSched) {
-		hv.tracer.Emit(trace.CatSched, "run %s/%d on pcpu%d prio=%v credits=%v",
-			v.dom.name, v.id, p.id, v.prio, v.credits)
-	}
 	p.current = v
 	v.pcpu = p
 	v.state = stateRunning
@@ -507,7 +498,6 @@ func (hv *Hypervisor) wakeOne(d *Domain) {
 // Trigger mechanism on the x86 island ("boost the dequeuing guest VM's
 // position in the runqueue").
 func (hv *Hypervisor) Boost(d *Domain) {
-	hv.tracer.Emit(trace.CatSched, "boost %s", d.name)
 	for _, v := range d.vcpus {
 		switch v.state {
 		case stateRunnable:
@@ -558,9 +548,6 @@ func (hv *Hypervisor) maybePreempt() {
 func (hv *Hypervisor) preempt(p *PCPU) {
 	v := p.current
 	hv.preemptions++
-	if hv.tracer.Enabled(trace.CatSched) {
-		hv.tracer.Emit(trace.CatSched, "preempt %s/%d on pcpu%d", v.dom.name, v.id, p.id)
-	}
 	hv.chargeRun(v, hv.sim.Now())
 	if v.sliceEv != nil {
 		v.sliceEv.Cancel()

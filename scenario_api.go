@@ -9,7 +9,6 @@ import (
 	"repro/internal/overload"
 	"repro/internal/rubis"
 	"repro/internal/scenario"
-	"repro/internal/sweep"
 )
 
 // Workload selects what drives a RUBiS run. The zero value (and Kind
@@ -262,6 +261,18 @@ func (s Scenario) Compile() (RubisConfig, error) {
 	if err := s.Validate(); err != nil {
 		return RubisConfig{}, err
 	}
+	cfg := s.config()
+	if s.Workload != nil {
+		if _, err := s.Workload.driver(cfg); err != nil {
+			return RubisConfig{}, err
+		}
+	}
+	return cfg, nil
+}
+
+// config lowers the scenario to a RubisConfig by field copy alone: no
+// validation and no trace pre-flight.
+func (s Scenario) config() RubisConfig {
 	cfg := RubisConfig{
 		Seed:           s.Seed,
 		Duration:       s.Duration,
@@ -277,16 +288,11 @@ func (s Scenario) Compile() (RubisConfig, error) {
 		Failover:       s.Failover,
 		Energy:         s.Energy,
 	}
-	if s.Workload != nil {
-		if _, err := s.Workload.driver(cfg); err != nil {
-			return RubisConfig{}, err
-		}
-		if s.Workload.closedLoop() {
-			cfg.Sessions = s.Workload.Sessions
-			cfg.Mix = s.Workload.Mix
-		}
+	if s.Workload != nil && s.Workload.closedLoop() {
+		cfg.Sessions = s.Workload.Sessions
+		cfg.Mix = s.Workload.Mix
 	}
-	return cfg, nil
+	return cfg
 }
 
 // RunScenario compiles and runs one scenario on the plane its
@@ -395,71 +401,20 @@ type ScenarioRow struct {
 	Joules float64 `json:"joules,omitempty"`
 }
 
-// scenarioPointCfg is a scenario-matrix point's cache-keyed
-// configuration: the full scenario spec plus the plane.
-type scenarioPointCfg struct {
-	Name  string   `json:"name"`
-	Plane string   `json:"plane"`
-	Spec  Scenario `json:"spec"`
-}
-
-// ScenarioMatrixPoints expands the scenario catalog into sweep points:
-// every scenario on the base and the coordinated plane, in stable order.
-// cfg supplies the run shape (Duration; per-scenario warmup is derived).
-func ScenarioMatrixPoints(cfg RubisConfig) []sweep.Point {
-	var points []sweep.Point
-	for _, sc := range ScenarioCatalog(cfg.Duration) {
-		for _, plane := range []string{"base", "coord"} {
-			points = append(points, sweep.Point{
-				Name:   sc.Name + "/" + plane,
-				Config: scenarioPointCfg{Name: sc.Name, Plane: plane, Spec: sc},
-			})
-		}
-	}
-	return points
-}
-
-// ScenarioMatrixResult is one parallel run of the scenario matrix.
-type ScenarioMatrixResult struct {
-	Sweep *sweep.RunResult
-	Rows  []ScenarioRow
-}
-
-// RunScenarioMatrix fans the scenario catalog (scenarios × planes ×
-// repetitions) across the sweep worker pool. cfg supplies the run shape
-// (Duration) and the base seed; each trial re-derives its trace from the
-// trial seed, so the matrix is byte-identical for any Workers value.
-func RunScenarioMatrix(cfg RubisConfig, opt SweepOptions) (*ScenarioMatrixResult, error) {
-	if opt.Seed == 0 {
-		opt.Seed = cfg.Seed
-	}
-	opts, err := opt.options(scenarioMatrixVersion)
-	if err != nil {
-		return nil, err
-	}
-	points := ScenarioMatrixPoints(cfg)
-	res, err := sweep.Run(points, func(t sweep.Trial) (any, error) {
-		pc, ok := t.Point.Config.(scenarioPointCfg)
-		if !ok {
-			return nil, fmt.Errorf("repro: scenario-matrix point %q has config %T", t.Point.Name, t.Point.Config)
-		}
-		spec := pc.Spec
-		spec.Seed = t.Seed
-		spec.Coordinated = pc.Plane == "coord"
-		if spec.Overload != nil {
-			ov := *spec.Overload
-			ov.Coordinated = spec.Coordinated
-			spec.Overload = &ov
-		}
-		r, err := RunScenario(spec)
-		if err != nil {
-			return nil, err
-		}
+// ScenarioMatrix returns the trace-driven scenario matrix: every
+// ScenarioCatalog entry on the base and the coordinated plane
+// ("diurnal/coord"), in stable order. cfg supplies the run shape
+// (Duration; per-scenario warmup is derived) and the base seed; each
+// trial re-derives its trace from the trial seed, so the matrix is
+// byte-identical for any Workers value.
+func ScenarioMatrix(cfg RubisConfig) Matrix[ScenarioRow] {
+	return Matrix[ScenarioRow]{Version: scenarioMatrixVersion, Points: ScenarioMatrixPoints(cfg), Project: func(p MatrixPoint, r *RubisRun) ScenarioRow {
+		scenario, plane := p.labels()
 		ov := r.Overload
 		return ScenarioRow{
-			Scenario:    pc.Name,
-			Plane:       pc.Plane,
-			Workload:    spec.Workload.Kind,
+			Scenario:    scenario,
+			Plane:       plane,
+			Workload:    p.Config.Workload.Kind,
 			Throughput:  r.Throughput,
 			MeanMs:      r.MeanOverTypes(),
 			Sessions:    r.SessionsCompleted,
@@ -467,29 +422,36 @@ func RunScenarioMatrix(cfg RubisConfig, opt SweepOptions) (*ScenarioMatrixResult
 			Abandoned:   ov.Abandoned,
 			Retransmits: r.Robustness.Retransmits,
 			Joules:      r.Energy.PlatformJoules,
-		}, nil
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Err(); err != nil {
-		return nil, err
-	}
-	out := &ScenarioMatrixResult{Sweep: res, Rows: make([]ScenarioRow, len(res.Trials))}
-	for i := range res.Trials {
-		if err := res.Decode(i, &out.Rows[i]); err != nil {
-			return nil, err
 		}
-	}
-	return out, nil
+	}}
 }
 
-// Row returns the first-repetition row for a scenario/plane pair.
-func (r *ScenarioMatrixResult) Row(scenario, plane string) (ScenarioRow, bool) {
-	for _, row := range r.Rows {
-		if row.Scenario == scenario && row.Plane == plane {
-			return row, true
+// ScenarioMatrixPoints lowers the scenario catalog into the matrix's
+// points. Expansion does no trace pre-flight, so it stays cheap; the
+// catalog test pins that every entry compiles.
+func ScenarioMatrixPoints(cfg RubisConfig) []MatrixPoint {
+	var points []MatrixPoint
+	for _, sc := range ScenarioCatalog(cfg.Duration) {
+		for _, plane := range []string{"base", "coord"} {
+			c := sc.config()
+			c.Seed = cfg.Seed
+			if c.Overload != nil {
+				// Copied per point: catalog entries share one knob set, and
+				// the plane decides whether the shed loop closes.
+				ov := *c.Overload
+				ov.Coordinated = plane == "coord"
+				c.Overload = &ov
+			}
+			points = append(points, MatrixPoint{Name: sc.Name + "/" + plane, Config: c, Coordinated: plane == "coord"})
 		}
 	}
-	return ScenarioRow{}, false
+	return points
+}
+
+// ScenarioMatrixResult is one parallel run of the scenario matrix.
+type ScenarioMatrixResult = MatrixResult[ScenarioRow]
+
+// RunScenarioMatrix runs ScenarioMatrix(cfg) through RunMatrix.
+func RunScenarioMatrix(cfg RubisConfig, opt SweepOptions) (*ScenarioMatrixResult, error) {
+	return RunMatrix(ScenarioMatrix(cfg), opt)
 }

@@ -29,8 +29,8 @@ func TestScenarioMatrixParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration test")
 	}
-	run := func(workers int) (*ScenarioMatrixResult, []byte) {
-		res, err := RunScenarioMatrix(scenarioMatrixCfg(), SweepOptions{Workers: workers, Seed: 1})
+	run := func(workers int) (*MatrixResult[ScenarioRow], []byte) {
+		res, err := RunMatrix(ScenarioMatrix(scenarioMatrixCfg()), SweepOptions{Workers: workers, Seed: 1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -46,21 +46,21 @@ func TestScenarioMatrixParallelDeterminism(t *testing.T) {
 	if string(seqJSON) != string(parJSON) {
 		t.Fatalf("parallel sweep diverged from sequential:\nworkers=1:\n%s\nworkers=8:\n%s", seqJSON, parJSON)
 	}
-	if len(par.Rows) != len(ScenarioMatrixPoints(scenarioMatrixCfg())) {
-		t.Fatalf("matrix produced %d rows, want %d", len(par.Rows), len(ScenarioMatrixPoints(scenarioMatrixCfg())))
+	if want := len(ScenarioMatrix(scenarioMatrixCfg()).Points); len(par.Rows) != want {
+		t.Fatalf("matrix produced %d rows, want %d", len(par.Rows), want)
 	}
 	_ = seq
 
 	// The matrix must actually exercise the machinery each scenario arms,
 	// or the byte-compare proves nothing interesting.
-	flash, ok := par.Row("flash-crowd+overload", "coord")
+	flash, ok := par.Row("flash-crowd+overload/coord")
 	if !ok {
 		t.Fatal("matrix lost its flash-crowd+overload/coord point")
 	}
 	if flash.Shed == 0 && flash.Abandoned == 0 {
 		t.Error("flash crowd shed and abandoned nothing; overload scenario is near-vacuous")
 	}
-	tail, ok := par.Row("heavy-tail+partition", "coord")
+	tail, ok := par.Row("heavy-tail+partition/coord")
 	if !ok {
 		t.Fatal("matrix lost its heavy-tail+partition/coord point")
 	}

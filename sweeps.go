@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/sweep"
@@ -77,29 +76,18 @@ type FaultsRow struct {
 	Shed uint64 `json:"shed,omitempty"`
 }
 
-// faultPointCfg is a fault-matrix point's cache-keyed configuration.
-type faultPointCfg struct {
-	Scenario   string     `json:"scenario"`
-	Plane      string     `json:"plane"`
-	DurationNs int64      `json:"duration_ns"`
-	WarmupNs   int64      `json:"warmup_ns"`
-	Plan       *FaultPlan `json:"plan,omitempty"`
-	Load       float64    `json:"load,omitempty"`
-}
-
-// FaultScenarios returns the canonical fault-injection scenario matrix for
-// a run of the given duration: the same matrix drives `reprobench -exp
-// ablation-faults`, the chaos tests, the parallel-determinism test, and
-// the pinned bench sweep.
-func FaultScenarios(dur time.Duration) []struct {
-	Name string
-	Plan *FaultPlan
-	Load float64
-} {
-	return []struct {
-		Name string
-		Plan *FaultPlan
-		Load float64
+// FaultMatrix returns the canonical fault-injection matrix for runs shaped
+// by cfg (Duration, Warmup, Seed; Faults and Robust are set per point):
+// the uncoordinated "baseline" first, then every fault scenario on the
+// fragile and the reliable coordination plane ("loss 30%/reliable"), in
+// stable order. The same matrix drives `reprobench -exp ablation-faults`,
+// the chaos and parallel-determinism tests, and the pinned bench sweep.
+func FaultMatrix(cfg RubisConfig) Matrix[FaultsRow] {
+	dur := cfg.Duration
+	scenarios := []struct {
+		name string
+		plan *FaultPlan
+		load float64
 	}{
 		{"clean", nil, 0},
 		{"loss 30%", &FaultPlan{LossRate: 0.3}, 0},
@@ -125,118 +113,39 @@ func FaultScenarios(dur time.Duration) []struct {
 			{Island: "ixp", Start: dur / 4, Duration: dur / 8},
 		}}, 2.5},
 	}
-}
-
-// FaultMatrixPoints expands the scenario matrix into sweep points: the
-// uncoordinated baseline first, then every scenario on both the fragile
-// and the reliable coordination plane, in stable order.
-func FaultMatrixPoints(cfg RubisConfig) []sweep.Point {
-	points := []sweep.Point{{
-		Name: "baseline",
-		Config: faultPointCfg{
-			Scenario:   "baseline",
-			Plane:      "none",
-			DurationNs: int64(cfg.Duration),
-			WarmupNs:   int64(cfg.Warmup),
-		},
-	}}
-	for _, sc := range FaultScenarios(cfg.Duration) {
+	base := cfg
+	base.Faults, base.Robust = nil, false
+	points := []MatrixPoint{{Name: "baseline", Config: base}}
+	for _, sc := range scenarios {
 		for _, plane := range []string{"fragile", "reliable"} {
-			points = append(points, sweep.Point{
-				Name: sc.Name + "/" + plane,
-				Config: faultPointCfg{
-					Scenario:   sc.Name,
-					Plane:      plane,
-					DurationNs: int64(cfg.Duration),
-					WarmupNs:   int64(cfg.Warmup),
-					Plan:       sc.Plan,
-					Load:       sc.Load,
-				},
-			})
+			c := base
+			c.Faults = sc.plan
+			c.Robust = plane == "reliable"
+			if sc.load > 0 {
+				c = withOverloadStress(c, sc.load, c.Robust)
+			}
+			points = append(points, MatrixPoint{Name: sc.name + "/" + plane, Config: c, Coordinated: true})
 		}
 	}
-	return points
-}
-
-// FaultMatrixResult is one parallel run of the fault matrix.
-type FaultMatrixResult struct {
-	// Sweep is the raw engine result (stable trial order, deterministic
-	// JSON, wall-clock throughput).
-	Sweep *sweep.RunResult
-	// Rows holds the decoded trials in the same stable order.
-	Rows []FaultsRow
-}
-
-// RunFaultMatrix fans the fault-injection matrix (baseline + scenarios ×
-// planes, × repetitions) across the sweep worker pool. cfg supplies the
-// run shape (Duration, Warmup); its Seed, Faults, and Robust fields are
-// overridden per trial.
-func RunFaultMatrix(cfg RubisConfig, opt SweepOptions) (*FaultMatrixResult, error) {
-	if opt.Seed == 0 {
-		opt.Seed = cfg.Seed
-	}
-	opts, err := opt.options(faultMatrixVersion)
-	if err != nil {
-		return nil, err
-	}
-	points := FaultMatrixPoints(cfg)
-	res, err := sweep.Run(points, func(t sweep.Trial) (any, error) {
-		pc, ok := t.Point.Config.(faultPointCfg)
-		if !ok {
-			return nil, fmt.Errorf("repro: fault-matrix point %q has config %T", t.Point.Name, t.Point.Config)
+	return Matrix[FaultsRow]{Version: faultMatrixVersion, Points: points, Project: func(p MatrixPoint, r *RubisRun) FaultsRow {
+		scenario, plane := p.labels()
+		if !p.Coordinated {
+			plane = "none"
 		}
-		trialCfg := cfg
-		trialCfg.Seed = t.Seed
-		trialCfg.Faults = pc.Plan
-		trialCfg.Robust = pc.Plane == "reliable"
-		if pc.Load > 0 {
-			trialCfg.LoadFactor = pc.Load
-			trialCfg.RequestTimeout = overloadStressTimeout
-			ov := overloadStressKnobs()
-			ov.Coordinated = pc.Plane != "none"
-			ov.Breaker = pc.Plane == "reliable"
-			trialCfg.Overload = &ov
-		}
-		r := RunRubis(trialCfg, pc.Plane != "none")
-		rb := r.Robustness
-		ov := r.Overload
+		rb, ov := r.Robustness, r.Overload
 		return FaultsRow{
-			Scenario:        pc.Scenario,
-			Plane:           pc.Plane,
+			Scenario:        scenario,
+			Plane:           plane,
 			Throughput:      r.Throughput,
 			MeanMs:          r.MeanOverTypes(),
 			Retransmits:     rb.Retransmits,
 			Expired:         rb.Expired,
 			Degradations:    rb.Degradations,
 			BaselineReverts: rb.BaselineReverts,
-			Load:            pc.Load,
+			Load:            p.Config.LoadFactor,
 			Shed:            ov.QueueShed + ov.Expired + ov.IXPShed,
-		}, nil
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Err(); err != nil {
-		return nil, err
-	}
-	out := &FaultMatrixResult{Sweep: res, Rows: make([]FaultsRow, len(res.Trials))}
-	for i := range res.Trials {
-		if err := res.Decode(i, &out.Rows[i]); err != nil {
-			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// Row returns the first-repetition row for a scenario/plane pair, for
-// callers that address the matrix by name rather than index.
-func (r *FaultMatrixResult) Row(scenario, plane string) (FaultsRow, bool) {
-	for _, row := range r.Rows {
-		if row.Scenario == scenario && row.Plane == plane {
-			return row, true
-		}
-	}
-	return FaultsRow{}, false
+	}}
 }
 
 // overloadMatrixVersion invalidates cached overload-matrix trials when
@@ -261,15 +170,18 @@ func overloadStressKnobs() OverloadControl {
 	}
 }
 
-// OverloadLoads is the offered-load axis of the overload ablation: the
-// session-population multipliers swept for every control level.
-var OverloadLoads = []float64{1, 2, 3, 4}
-
-// OverloadControls is the control axis of the overload ablation, weakest
-// first: no overload control (unbounded queues), bounded tier queues with
-// local shedding only, and the full coordinated plane that also sheds at
-// the NIC before PCIe.
-var OverloadControls = []string{"none", "bounded", "coordinated"}
+// withOverloadStress drives c at load× the calibrated population into the
+// stress envelope with the coordinated shed loop closed, optionally
+// behind mailbox circuit breakers.
+func withOverloadStress(c RubisConfig, load float64, breaker bool) RubisConfig {
+	c.LoadFactor = load
+	c.RequestTimeout = overloadStressTimeout
+	ov := overloadStressKnobs()
+	ov.Coordinated = true
+	ov.Breaker = breaker
+	c.Overload = &ov
+	return c
+}
 
 // OverloadRow is one trial of the overload ablation: a RUBiS run at one
 // offered-load multiplier under one overload-control level.
@@ -290,90 +202,44 @@ type OverloadRow struct {
 	ShedTunes uint64 `json:"shed_tunes"`
 }
 
-// overloadPointCfg is an overload-matrix point's cache-keyed configuration.
-type overloadPointCfg struct {
-	Control    string  `json:"control"`
-	Load       float64 `json:"load"`
-	DurationNs int64   `json:"duration_ns"`
-	WarmupNs   int64   `json:"warmup_ns"`
-}
-
-// OverloadMatrixPoints expands the overload ablation into sweep points in
-// stable order: every control level at every offered-load multiplier.
-func OverloadMatrixPoints(cfg RubisConfig) []sweep.Point {
-	var points []sweep.Point
-	for _, control := range OverloadControls {
-		for _, load := range OverloadLoads {
-			points = append(points, sweep.Point{
-				Name: fmt.Sprintf("%s/%gx", control, load),
-				Config: overloadPointCfg{
-					Control:    control,
-					Load:       load,
-					DurationNs: int64(cfg.Duration),
-					WarmupNs:   int64(cfg.Warmup),
-				},
-			})
+// OverloadMatrix returns the overload ablation for runs shaped by cfg:
+// every control level, weakest first — "none" (unbounded queues),
+// "bounded" (tier queues with local shedding only), and "coordinated"
+// (the full plane, which also sheds at the NIC before PCIe) — at 1×–4×
+// the calibrated session population ("bounded/3x"), in stable order.
+// The paper's weight-tuning scheme is left off for every trial so the
+// matrix isolates the overload plane; coordinated trials still actuate
+// weight boosts through the controller's Trigger translation.
+func OverloadMatrix(cfg RubisConfig) Matrix[OverloadRow] {
+	var points []MatrixPoint
+	for _, control := range []string{"none", "bounded", "coordinated"} {
+		for _, load := range []float64{1, 2, 3, 4} {
+			c := cfg
+			c.LoadFactor = load
+			// Sessions abandon pages unanswered in 2s — identical client
+			// behaviour for every control level, so the matrix isolates how
+			// much server work each level wastes on abandoned pages. At 4x
+			// load the uncontrolled baseline serves nothing in time at all
+			// (goodput 0, p95 printed as 0 for lack of samples).
+			c.RequestTimeout = overloadStressTimeout
+			// The default knobs (cap 512, deadline 4s) are sized never to
+			// bind at the calibrated population; the ablation stresses a
+			// deliberately tight envelope so the control levels separate.
+			c.Overload = nil
+			if control != "none" {
+				ov := overloadStressKnobs()
+				ov.Coordinated = control == "coordinated"
+				c.Overload = &ov
+			}
+			points = append(points, MatrixPoint{Name: fmt.Sprintf("%s/%gx", control, load), Config: c})
 		}
 	}
-	return points
-}
-
-// OverloadMatrixResult is one parallel run of the overload ablation.
-type OverloadMatrixResult struct {
-	Sweep *sweep.RunResult
-	Rows  []OverloadRow
-}
-
-// RunOverloadMatrix fans the overload ablation (controls × loads ×
-// repetitions) across the sweep worker pool. The paper's weight-tuning
-// scheme is left off for every trial so the matrix isolates the overload
-// plane; coordinated trials still actuate weight boosts through the
-// controller's Trigger translation.
-func RunOverloadMatrix(cfg RubisConfig, opt SweepOptions) (*OverloadMatrixResult, error) {
-	if opt.Seed == 0 {
-		opt.Seed = cfg.Seed
-	}
-	opts, err := opt.options(overloadMatrixVersion)
-	if err != nil {
-		return nil, err
-	}
-	points := OverloadMatrixPoints(cfg)
-	res, err := sweep.Run(points, func(t sweep.Trial) (any, error) {
-		pc, ok := t.Point.Config.(overloadPointCfg)
-		if !ok {
-			return nil, fmt.Errorf("repro: overload-matrix point %q has config %T", t.Point.Name, t.Point.Config)
-		}
-		trialCfg := cfg
-		trialCfg.Seed = t.Seed
-		trialCfg.LoadFactor = pc.Load
-		// Sessions abandon pages unanswered in 2s — identical client
-		// behaviour for every control level, so the matrix isolates how
-		// much server work each level wastes on abandoned pages. At 4x
-		// load the uncontrolled baseline serves nothing in time at all
-		// (goodput 0, p95 printed as 0 for lack of samples).
-		trialCfg.RequestTimeout = overloadStressTimeout
-		// The default knobs (cap 512, deadline 4s) are sized never to bind
-		// at the calibrated population; the ablation stresses a deliberately
-		// tight envelope so the control levels separate.
-		stress := overloadStressKnobs()
-		switch pc.Control {
-		case "none":
-			trialCfg.Overload = nil
-		case "bounded":
-			ov := stress
-			trialCfg.Overload = &ov
-		case "coordinated":
-			ov := stress
-			ov.Coordinated = true
-			trialCfg.Overload = &ov
-		default:
-			return nil, fmt.Errorf("repro: unknown overload control %q", pc.Control)
-		}
-		r := RunRubis(trialCfg, false)
+	return Matrix[OverloadRow]{Version: overloadMatrixVersion, Points: points, Project: func(p MatrixPoint, r *RubisRun) OverloadRow {
+		control, _ := p.labels()
 		ov := r.Overload
 		return OverloadRow{
-			Control:     pc.Control,
-			Load:        pc.Load,
+			Control:     control,
+			Load:        p.Config.LoadFactor,
 			Goodput:     r.Throughput,
 			ServedP95Ms: ov.ServedP95Ms,
 			QueueShed:   ov.QueueShed,
@@ -382,50 +248,13 @@ func RunOverloadMatrix(cfg RubisConfig, opt SweepOptions) (*OverloadMatrixResult
 			Abandoned:   ov.Abandoned,
 			Triggers:    ov.TriggersSent,
 			ShedTunes:   ov.ShedTunes,
-		}, nil
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Err(); err != nil {
-		return nil, err
-	}
-	out := &OverloadMatrixResult{Sweep: res, Rows: make([]OverloadRow, len(res.Trials))}
-	for i := range res.Trials {
-		if err := res.Decode(i, &out.Rows[i]); err != nil {
-			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// Row returns the first-repetition row for a control/load pair. Loads are
-// grid values (1x, 2x, ...) so a coarse tolerance identifies them.
-func (r *OverloadMatrixResult) Row(control string, load float64) (OverloadRow, bool) {
-	for _, row := range r.Rows {
-		if row.Control == control && math.Abs(row.Load-load) < 1e-9 {
-			return row, true
-		}
-	}
-	return OverloadRow{}, false
+	}}
 }
 
 // energyMatrixVersion invalidates cached energy-matrix trials when the
 // experiment's meaning changes.
 const energyMatrixVersion = "energy-matrix-v1"
-
-// EnergyLoads is the offered-load axis of the energy ablation: half the
-// calibrated population (latency slack on both islands), the calibrated
-// 1× point (the x86 island saturated, slack visible only to a
-// latency-aware governor), and 1.5× (past saturation, where no governor
-// can meet the SLO and every plane converges on the top points).
-var EnergyLoads = []float64{0.5, 1, 1.5}
-
-// EnergyGovernors is the policy axis of the energy ablation, weakest
-// first: no governor (both islands pinned at their top operating points),
-// per-island latency-blind ondemand governors (the uncoordinated
-// ablation), and the QoS-constrained coordinated governor.
-var EnergyGovernors = []string{"off", "ondemand", "coordinated"}
 
 // EnergyRow is one trial of the energy ablation: a RUBiS run at one
 // offered-load multiplier under one governor policy.
@@ -449,67 +278,31 @@ type EnergyRow struct {
 	Transitions   int `json:"transitions"`
 }
 
-// energyPointCfg is an energy-matrix point's cache-keyed configuration.
-type energyPointCfg struct {
-	Governor   string  `json:"governor"`
-	Load       float64 `json:"load"`
-	DurationNs int64   `json:"duration_ns"`
-	WarmupNs   int64   `json:"warmup_ns"`
-}
-
-// EnergyMatrixPoints expands the energy ablation into sweep points in
-// stable order: every governor policy at every offered-load multiplier.
-func EnergyMatrixPoints(cfg RubisConfig) []sweep.Point {
-	var points []sweep.Point
-	for _, gov := range EnergyGovernors {
-		for _, load := range EnergyLoads {
-			points = append(points, sweep.Point{
-				Name: fmt.Sprintf("%s/%gx", gov, load),
-				Config: energyPointCfg{
-					Governor:   gov,
-					Load:       load,
-					DurationNs: int64(cfg.Duration),
-					WarmupNs:   int64(cfg.Warmup),
-				},
-			})
+// EnergyMatrix returns the energy ablation for runs shaped by cfg: every
+// governor policy, weakest first — "off" (both islands pinned at their
+// top operating points), "ondemand" (per-island latency-blind governors,
+// the uncoordinated ablation), and "coordinated" (the QoS-constrained
+// governor) — at each offered load ("ondemand/1x"), in stable order. The
+// loads are half the calibrated population (latency slack on both
+// islands), the calibrated 1× point (the x86 island saturated, slack
+// visible only to a latency-aware governor), and 1.5× (past saturation,
+// where no governor can meet the SLO). The paper's weight-tuning scheme
+// stays on for every trial so the matrix isolates the energy governor.
+func EnergyMatrix(cfg RubisConfig) Matrix[EnergyRow] {
+	var points []MatrixPoint
+	for _, gov := range []string{EnergyGovOff, EnergyGovOndemand, EnergyGovCoordinated} {
+		for _, load := range []float64{0.5, 1, 1.5} {
+			c := cfg
+			c.LoadFactor = load
+			c.Energy = &EnergyControl{Governor: gov}
+			points = append(points, MatrixPoint{Name: fmt.Sprintf("%s/%gx", gov, load), Config: c, Coordinated: true})
 		}
 	}
-	return points
-}
-
-// EnergyMatrixResult is one parallel run of the energy ablation.
-type EnergyMatrixResult struct {
-	Sweep *sweep.RunResult
-	Rows  []EnergyRow
-}
-
-// RunEnergyMatrix fans the energy ablation (governors × loads ×
-// repetitions) across the sweep worker pool. The paper's weight-tuning
-// scheme stays on for every trial so the matrix isolates the energy
-// governor; every other knob is the calibrated default.
-func RunEnergyMatrix(cfg RubisConfig, opt SweepOptions) (*EnergyMatrixResult, error) {
-	if opt.Seed == 0 {
-		opt.Seed = cfg.Seed
-	}
-	opts, err := opt.options(energyMatrixVersion)
-	if err != nil {
-		return nil, err
-	}
-	points := EnergyMatrixPoints(cfg)
-	res, err := sweep.Run(points, func(t sweep.Trial) (any, error) {
-		pc, ok := t.Point.Config.(energyPointCfg)
-		if !ok {
-			return nil, fmt.Errorf("repro: energy-matrix point %q has config %T", t.Point.Name, t.Point.Config)
-		}
-		trialCfg := cfg
-		trialCfg.Seed = t.Seed
-		trialCfg.LoadFactor = pc.Load
-		trialCfg.Energy = &EnergyControl{Governor: pc.Governor}
-		r := RunRubis(trialCfg, true)
+	return Matrix[EnergyRow]{Version: energyMatrixVersion, Points: points, Project: func(p MatrixPoint, r *RubisRun) EnergyRow {
 		e := r.Energy
 		return EnergyRow{
-			Governor:         pc.Governor,
-			Load:             pc.Load,
+			Governor:         p.Config.Energy.Governor,
+			Load:             p.Config.LoadFactor,
 			PlatformJoules:   e.PlatformJoules,
 			X86Joules:        e.X86Joules,
 			IXPJoules:        e.IXPJoules,
@@ -519,31 +312,8 @@ func RunEnergyMatrix(cfg RubisConfig, opt SweepOptions) (*EnergyMatrixResult, er
 			QoSViolations:    e.QoSViolations,
 			QoSWindows:       e.QoSWindows,
 			Transitions:      e.Transitions,
-		}, nil
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Err(); err != nil {
-		return nil, err
-	}
-	out := &EnergyMatrixResult{Sweep: res, Rows: make([]EnergyRow, len(res.Trials))}
-	for i := range res.Trials {
-		if err := res.Decode(i, &out.Rows[i]); err != nil {
-			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// Row returns the first-repetition row for a governor/load pair.
-func (r *EnergyMatrixResult) Row(governor string, load float64) (EnergyRow, bool) {
-	for _, row := range r.Rows {
-		if row.Governor == governor && math.Abs(row.Load-load) < 1e-9 {
-			return row, true
-		}
-	}
-	return EnergyRow{}, false
+	}}
 }
 
 // Pinned bench-sweep configuration: the regression guard reruns exactly
@@ -565,15 +335,15 @@ const (
 func RunBenchSweep(workers int, progress func(p sweep.Progress)) (*sweep.BenchReport, error) {
 	cfg := RubisConfig{Seed: benchSweepSeed, Duration: benchSweepDur}
 	opt := SweepOptions{Workers: workers, Reps: benchSweepReps, Seed: benchSweepSeed, Progress: progress}
-	faults, err := RunFaultMatrix(cfg, opt)
+	faults, err := RunMatrix(FaultMatrix(cfg), opt)
 	if err != nil {
 		return nil, err
 	}
-	scenarios, err := RunScenarioMatrix(cfg, opt)
+	scenarios, err := RunMatrix(ScenarioMatrix(cfg), opt)
 	if err != nil {
 		return nil, err
 	}
-	energy, err := RunEnergyMatrix(cfg, opt)
+	energy, err := RunMatrix(EnergyMatrix(cfg), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -611,30 +381,19 @@ type FailoverRow struct {
 	Shed uint64  `json:"shed,omitempty"`
 }
 
-// failoverPointCfg is a failover-matrix point's cache-keyed configuration.
-type failoverPointCfg struct {
-	Scenario   string     `json:"scenario"`
-	Plane      string     `json:"plane"`
-	Replicas   int        `json:"replicas"`
-	DurationNs int64      `json:"duration_ns"`
-	WarmupNs   int64      `json:"warmup_ns"`
-	Plan       *FaultPlan `json:"plan,omitempty"`
-	Load       float64    `json:"load,omitempty"`
-}
-
-// FailoverScenarios returns the canonical controller fault-window matrix
-// for a run of the given duration: the same matrix drives `reprobench -exp
-// ablation-failover` and the failover chaos tests. Replica 0 is the
-// initial primary in every scenario.
-func FailoverScenarios(dur time.Duration) []struct {
-	Name string
-	Plan *FaultPlan
-	Load float64
-} {
-	return []struct {
-		Name string
-		Plan *FaultPlan
-		Load float64
+// FailoverMatrix returns the controller-availability matrix for runs
+// shaped by cfg (Duration, Warmup, Seed; Faults, Robust and Failover are
+// set per point): every controller fault window on the solo (1 replica)
+// and the replicated (3 replicas) controller plane
+// ("primary crash/replicated"), in stable order. Replica 0 is the initial
+// primary in every scenario. The same matrix drives `reprobench -exp
+// ablation-failover` and the failover chaos tests.
+func FailoverMatrix(cfg RubisConfig) Matrix[FailoverRow] {
+	dur := cfg.Duration
+	scenarios := []struct {
+		name string
+		plan *FaultPlan
+		load float64
 	}{
 		{"clean", nil, 0},
 		{"primary crash", &FaultPlan{ControllerCrashes: []ReplicaWindow{
@@ -650,109 +409,36 @@ func FailoverScenarios(dur time.Duration) []struct {
 			{Replica: 0, Start: dur / 4, Duration: dur / 4},
 		}}, 2.0},
 	}
-}
-
-// FailoverMatrixPoints expands the scenario matrix into sweep points:
-// every scenario on the solo (1 replica) and replicated (3 replicas)
-// controller plane, in stable order.
-func FailoverMatrixPoints(cfg RubisConfig) []sweep.Point {
-	var points []sweep.Point
-	for _, sc := range FailoverScenarios(cfg.Duration) {
+	var points []MatrixPoint
+	for _, sc := range scenarios {
 		for _, plane := range []struct {
-			Name     string
-			Replicas int
+			name     string
+			replicas int
 		}{{"solo", 1}, {"replicated", 3}} {
-			points = append(points, sweep.Point{
-				Name: sc.Name + "/" + plane.Name,
-				Config: failoverPointCfg{
-					Scenario:   sc.Name,
-					Plane:      plane.Name,
-					Replicas:   plane.Replicas,
-					DurationNs: int64(cfg.Duration),
-					WarmupNs:   int64(cfg.Warmup),
-					Plan:       sc.Plan,
-					Load:       sc.Load,
-				},
-			})
+			c := cfg
+			c.Faults = sc.plan
+			c.Robust = true
+			c.Failover = &FailoverControl{Replicas: plane.replicas}
+			if sc.load > 0 {
+				c = withOverloadStress(c, sc.load, true)
+			}
+			points = append(points, MatrixPoint{Name: sc.name + "/" + plane.name, Config: c, Coordinated: true})
 		}
 	}
-	return points
-}
-
-// FailoverMatrixResult is one parallel run of the failover matrix.
-type FailoverMatrixResult struct {
-	Sweep *sweep.RunResult
-	Rows  []FailoverRow
-}
-
-// RunFailoverMatrix fans the controller-availability matrix (scenarios ×
-// controller planes, × repetitions) across the sweep worker pool. cfg
-// supplies the run shape (Duration, Warmup); its Seed, Faults, Robust, and
-// Failover fields are overridden per trial.
-func RunFailoverMatrix(cfg RubisConfig, opt SweepOptions) (*FailoverMatrixResult, error) {
-	if opt.Seed == 0 {
-		opt.Seed = cfg.Seed
-	}
-	opts, err := opt.options(failoverMatrixVersion)
-	if err != nil {
-		return nil, err
-	}
-	points := FailoverMatrixPoints(cfg)
-	res, err := sweep.Run(points, func(t sweep.Trial) (any, error) {
-		pc, ok := t.Point.Config.(failoverPointCfg)
-		if !ok {
-			return nil, fmt.Errorf("repro: failover-matrix point %q has config %T", t.Point.Name, t.Point.Config)
-		}
-		trialCfg := cfg
-		trialCfg.Seed = t.Seed
-		trialCfg.Faults = pc.Plan
-		trialCfg.Robust = true
-		trialCfg.Failover = &FailoverControl{Replicas: pc.Replicas}
-		if pc.Load > 0 {
-			trialCfg.LoadFactor = pc.Load
-			trialCfg.RequestTimeout = overloadStressTimeout
-			ov := overloadStressKnobs()
-			ov.Coordinated = true
-			ov.Breaker = true
-			trialCfg.Overload = &ov
-		}
-		r := RunRubis(trialCfg, true)
-		fo := r.Failover
-		ov := r.Overload
+	return Matrix[FailoverRow]{Version: failoverMatrixVersion, Points: points, Project: func(p MatrixPoint, r *RubisRun) FailoverRow {
+		scenario, plane := p.labels()
+		fo, ov := r.Failover, r.Overload
 		return FailoverRow{
-			Scenario:       pc.Scenario,
-			Plane:          pc.Plane,
+			Scenario:       scenario,
+			Plane:          plane,
 			Throughput:     r.Throughput,
 			MeanMs:         r.MeanOverTypes(),
 			Checkpoints:    fo.Checkpoints,
 			Promotions:     fo.Promotions,
 			StaleDropped:   fo.StaleDropped,
 			NoPrimaryDrops: fo.NoPrimaryDrops,
-			Load:           pc.Load,
+			Load:           p.Config.LoadFactor,
 			Shed:           ov.QueueShed + ov.Expired + ov.IXPShed,
-		}, nil
-	}, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Err(); err != nil {
-		return nil, err
-	}
-	out := &FailoverMatrixResult{Sweep: res, Rows: make([]FailoverRow, len(res.Trials))}
-	for i := range res.Trials {
-		if err := res.Decode(i, &out.Rows[i]); err != nil {
-			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// Row returns the first-repetition row for a scenario/plane pair.
-func (r *FailoverMatrixResult) Row(scenario, plane string) (FailoverRow, bool) {
-	for _, row := range r.Rows {
-		if row.Scenario == scenario && row.Plane == plane {
-			return row, true
-		}
-	}
-	return FailoverRow{}, false
+	}}
 }

@@ -26,8 +26,8 @@ func TestFaultMatrixParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration test")
 	}
-	run := func(workers int) (*FaultMatrixResult, []byte) {
-		res, err := RunFaultMatrix(chaosMatrixCfg(), SweepOptions{Workers: workers, Seed: 1})
+	run := func(workers int) (*MatrixResult[FaultsRow], []byte) {
+		res, err := RunMatrix(FaultMatrix(chaosMatrixCfg()), SweepOptions{Workers: workers, Seed: 1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -43,13 +43,13 @@ func TestFaultMatrixParallelDeterminism(t *testing.T) {
 	if string(seqJSON) != string(parJSON) {
 		t.Fatalf("parallel sweep diverged from sequential:\nworkers=1:\n%s\nworkers=8:\n%s", seqJSON, parJSON)
 	}
-	if len(par.Rows) != len(FaultMatrixPoints(chaosMatrixCfg())) {
-		t.Fatalf("matrix produced %d rows, want %d", len(par.Rows), len(FaultMatrixPoints(chaosMatrixCfg())))
+	if want := len(FaultMatrix(chaosMatrixCfg()).Points); len(par.Rows) != want {
+		t.Fatalf("matrix produced %d rows, want %d", len(par.Rows), want)
 	}
 
 	// The matrix must actually exercise the fault machinery, or the
 	// byte-compare proves nothing interesting.
-	lossy, ok := par.Row("loss 30%", "reliable")
+	lossy, ok := par.Row("loss 30%/reliable")
 	if !ok {
 		t.Fatal("matrix lost its loss 30%/reliable point")
 	}
@@ -82,21 +82,18 @@ func TestFaultMatrixFlightReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long integration test")
 	}
-	cfg := chaosMatrixCfg()
-	var sc *FaultPlan
-	for _, s := range FaultScenarios(cfg.Duration) {
-		if s.Name == "ixp crash" {
-			sc = s.Plan
+	var point *MatrixPoint
+	for _, p := range FaultMatrix(chaosMatrixCfg()).Points {
+		if p.Name == "ixp crash/reliable" {
+			point = &p
 		}
 	}
-	if sc == nil {
-		t.Fatal("fault matrix lost its ixp crash scenario")
+	if point == nil {
+		t.Fatal("fault matrix lost its ixp crash/reliable point")
 	}
-	cfg.Faults = sc
-	cfg.Robust = true
 
 	var buf bytes.Buffer
-	run, err := RecordRubis(cfg, true, &buf)
+	run, err := RecordRubis(point.Config, point.Coordinated, &buf)
 	if err != nil {
 		t.Fatalf("RecordRubis: %v", err)
 	}
@@ -128,7 +125,7 @@ func TestFaultMatrixRepsAndCache(t *testing.T) {
 	cfg.Warmup = time.Second
 	opt := SweepOptions{Workers: 4, Reps: 2, Seed: 1, CacheDir: t.TempDir()}
 
-	cold, err := RunFaultMatrix(cfg, opt)
+	cold, err := RunMatrix(FaultMatrix(cfg), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +142,7 @@ func TestFaultMatrixRepsAndCache(t *testing.T) {
 		t.Error("both repetitions produced identical throughput; seeds likely not applied")
 	}
 
-	warm, err := RunFaultMatrix(cfg, opt)
+	warm, err := RunMatrix(FaultMatrix(cfg), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
