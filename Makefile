@@ -110,7 +110,8 @@ flight:
 # validation, worker-count determinism of the scenario matrix, and
 # flight record/replay of a trace-driven run — then smokes the reproscn
 # CLI end to end (generate must be deterministic: diff exits 1 on any
-# divergence between two same-seed traces).
+# divergence between two same-seed traces; two runs of the paper's RUBiS
+# spec must print byte-identical results).
 scenarios:
 	$(GO) test -race ./internal/scenario/
 	$(GO) test -race -run 'TestResolveTrace|TestTrace|TestScaleTraceTimes' ./internal/rubis/
@@ -119,6 +120,9 @@ scenarios:
 	$(GO) run ./cmd/reproscn generate -kind flash-crowd -o /tmp/ci-b.wtrace -duration 20s -seed 7
 	$(GO) run ./cmd/reproscn diff /tmp/ci-a.wtrace /tmp/ci-b.wtrace
 	$(GO) run ./cmd/reproscn inspect /tmp/ci-a.wtrace
+	$(GO) run ./cmd/reproscn run -coordinated bench/specs/paper-rubis.json > /tmp/ci-rubis-a.txt
+	$(GO) run ./cmd/reproscn run -coordinated bench/specs/paper-rubis.json > /tmp/ci-rubis-b.txt
+	cmp /tmp/ci-rubis-a.txt /tmp/ci-rubis-b.txt
 
 # energy pins the energy subsystem's contracts under the race detector:
 # the DVFS/meter/governor unit and property layer, the energy-matrix

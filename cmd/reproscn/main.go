@@ -14,7 +14,7 @@
 // writes it. inspect prints a trace's header, span, and per-class
 // counts (-n additionally dumps the first N requests). run parses a
 // JSON scenario spec strictly, compiles it, runs it, and prints the
-// run's headline metrics. diff compares two traces request-by-request,
+// run's headline metrics and per-request-type latencies. diff compares two traces request-by-request,
 // exiting 1 if they differ.
 package main
 
@@ -154,6 +154,13 @@ func run(args []string) {
 	if rb := r.Robustness; rb.Retransmits > 0 || rb.FaultDrops > 0 {
 		fmt.Printf("  faults: dropped=%d retransmits=%d degradations=%d\n",
 			rb.FaultDrops, rb.Retransmits, rb.Degradations)
+	}
+	fmt.Printf("\n%-26s %6s %9s %9s %9s %9s\n", "request type", "n", "min(ms)", "avg(ms)", "max(ms)", "stddev")
+	for _, t := range r.PerType {
+		if t.Count == 0 {
+			continue
+		}
+		fmt.Printf("%-26s %6d %9.0f %9.0f %9.0f %9.0f\n", t.Name, t.Count, t.MinMs, t.AvgMs, t.MaxMs, t.StdDevMs)
 	}
 }
 

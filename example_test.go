@@ -12,17 +12,15 @@ import (
 // simulation is deterministic, so the output is stable.
 func ExampleRunCoordScalability() {
 	points := repro.RunCoordScalability(repro.ScalabilityConfig{
-		Islands:    []int{2},
-		Duration:   time.Second,
-		HopLatency: 100 * time.Microsecond,
-		HubCost:    10 * time.Microsecond,
+		Islands:  []int{2},
+		Duration: time.Second,
 	})
 	for _, p := range points {
 		fmt.Printf("%s islands=%d mean=%.0fus\n", p.Topology, p.Islands, p.MeanLatencyUs)
 	}
 	// Output:
-	// star islands=2 mean=210us
-	// direct islands=2 mean=100us
+	// star islands=2 mean=351us
+	// direct islands=2 mean=150us
 }
 
 // ExampleRunScenario runs a declarative trace-driven scenario: a

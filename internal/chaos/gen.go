@@ -8,6 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
+// crashIslands are the crash-window targets; faultChannels are the named
+// coordination channels partition and corruption windows may cut (the two
+// mailbox directions).
+var (
+	crashIslands  = [...]string{"ixp", "x86"}
+	faultChannels = [...]string{pcie.MailboxToHost, pcie.MailboxToDevice}
+)
+
 // GenConfig shapes the generator's sample space. Zero values take the
 // defaults noted on each field.
 type GenConfig struct {
@@ -18,11 +26,6 @@ type GenConfig struct {
 	WindowStart sim.Time
 	// MaxWindows bounds the timed windows per plan (default 3).
 	MaxWindows int
-	// Islands are the crash-window targets (default ixp, x86).
-	Islands []string
-	// Channels are the named coordination channels partition and
-	// corruption windows may cut (default the two mailbox directions).
-	Channels []string
 	// MaxReplicas bounds the controller replica count when a trial arms
 	// failover (default 3; must be >= 2 to ever arm it).
 	MaxReplicas int
@@ -44,12 +47,6 @@ func (g GenConfig) normalized() GenConfig {
 	}
 	if g.MaxWindows == 0 {
 		g.MaxWindows = 3
-	}
-	if len(g.Islands) == 0 {
-		g.Islands = []string{"ixp", "x86"}
-	}
-	if len(g.Channels) == 0 {
-		g.Channels = []string{pcie.MailboxToHost, pcie.MailboxToDevice}
 	}
 	if g.MaxReplicas == 0 {
 		g.MaxReplicas = 3
@@ -161,18 +158,18 @@ func Generate(rng *sim.Rand, cfg GenConfig, i int) TrialSpec {
 			spec.Plan.Partitions = append(spec.Plan.Partitions, pcie.Partition{
 				Start:    start,
 				Duration: dur,
-				Channels: genChannels(rng, cfg.Channels),
+				Channels: genChannels(rng),
 			})
 		case 1:
 			spec.Plan.Corruptions = append(spec.Plan.Corruptions, pcie.CorruptWindow{
 				Start:    start,
 				Duration: dur,
 				Rate:     quantRate(rng.Uniform(0.2, 1.0)),
-				Channels: genChannels(rng, cfg.Channels),
+				Channels: genChannels(rng),
 			})
 		case 2:
 			spec.Plan.Crashes = append(spec.Plan.Crashes, pcie.CrashWindow{
-				Island:   cfg.Islands[rng.Intn(len(cfg.Islands))],
+				Island:   crashIslands[rng.Intn(len(crashIslands))],
 				Start:    start,
 				Duration: dur,
 			})
@@ -195,10 +192,10 @@ func Generate(rng *sim.Rand, cfg GenConfig, i int) TrialSpec {
 
 // genChannels picks a partition/corruption channel set: every channel
 // (nil) or one named channel.
-func genChannels(rng *sim.Rand, channels []string) []string {
-	k := rng.Intn(len(channels) + 1)
-	if k == len(channels) {
+func genChannels(rng *sim.Rand) []string {
+	k := rng.Intn(len(faultChannels) + 1)
+	if k == len(faultChannels) {
 		return nil
 	}
-	return []string{channels[k]}
+	return []string{faultChannels[k]}
 }

@@ -92,11 +92,11 @@ func (c *Controller) Snapshot() *Checkpoint {
 			Unroutable:     c.unroutable,
 			ShedTunes:      c.shedTunes,
 			BoostTunes:     c.boostTunes,
-			Heartbeats:     c.heartbeats,
+			Heartbeats:     c.leases.heartbeats,
 			StrayAcks:      c.strayAcks,
-			LeaseExpiries:  c.leaseExpiries,
-			Rejoins:        c.rejoins,
-			FlapSuppressed: c.flapSuppressed,
+			LeaseExpiries:  c.leases.expiries,
+			Rejoins:        c.leases.rejoins,
+			FlapSuppressed: c.leases.flaps,
 		},
 	}
 	ids := make([]int, 0, len(c.entities))
@@ -109,7 +109,7 @@ func (c *Controller) Snapshot() *Checkpoint {
 		ck.Entities = append(ck.Entities, c.entities[id])
 	}
 	for _, name := range ck.Islands {
-		if l, ok := c.leases[name]; ok {
+		if l, ok := c.leases.byIsland[name]; ok {
 			ck.Leases = append(ck.Leases, LeaseSnapshot{
 				Island: name, State: l.state, LastHeard: l.lastHeard, DeadAt: l.deadAt,
 			})
@@ -132,13 +132,13 @@ func (c *Controller) RestoreSnapshot(ck *Checkpoint, now sim.Time) {
 	c.unroutable = ck.Counters.Unroutable
 	c.shedTunes = ck.Counters.ShedTunes
 	c.boostTunes = ck.Counters.BoostTunes
-	c.heartbeats = ck.Counters.Heartbeats
+	c.leases.heartbeats = ck.Counters.Heartbeats
 	c.strayAcks = ck.Counters.StrayAcks
-	c.leaseExpiries = ck.Counters.LeaseExpiries
-	c.rejoins = ck.Counters.Rejoins
-	c.flapSuppressed = ck.Counters.FlapSuppressed
+	c.leases.expiries = ck.Counters.LeaseExpiries
+	c.leases.rejoins = ck.Counters.Rejoins
+	c.leases.flaps = ck.Counters.FlapSuppressed
 	for _, ls := range ck.Leases {
-		c.leases[ls.Island] = &lease{lastHeard: now, state: ls.State, deadAt: ls.DeadAt}
+		c.leases.byIsland[ls.Island] = &lease{lastHeard: now, state: ls.State, deadAt: ls.DeadAt}
 	}
 	for _, es := range ck.Epochs {
 		c.epochs[es.Island] = es.Epoch

@@ -58,87 +58,6 @@ func UnrouteReasons() []UnrouteReason {
 	return []UnrouteReason{UnrouteUnknownTarget, UnrouteUnknownEntity, UnrouteQuarantined}
 }
 
-// LeaseState is an island's liveness as judged by the heartbeat watchdog.
-type LeaseState int
-
-// Lease states. The machine is Alive -> Suspect -> Dead on heartbeat
-// silence, and any heartbeat returns the island to Alive (a Dead->Alive
-// transition is a rejoin).
-const (
-	LeaseAlive LeaseState = iota
-	LeaseSuspect
-	LeaseDead
-)
-
-// String names the lease state.
-func (s LeaseState) String() string {
-	switch s {
-	case LeaseAlive:
-		return "alive"
-	case LeaseSuspect:
-		return "suspect"
-	case LeaseDead:
-		return "dead"
-	default:
-		return fmt.Sprintf("LeaseState(%d)", int(s))
-	}
-}
-
-// lease tracks one island's heartbeat liveness. flapped marks a probationary
-// rejoin: the island came back inside the hysteresis window after dying, so
-// the rejoin is not counted until it survives alive for the full window (and
-// a re-death inside probation does not count a second expiry).
-type lease struct {
-	lastHeard sim.Time
-	state     LeaseState
-	deadAt    sim.Time // when the lease last expired
-	rejoinAt  sim.Time // when the probationary rejoin happened
-	flapped   bool     // rejoin is on probation (hysteresis not yet served)
-}
-
-// WatchdogConfig parameterizes the controller's heartbeat watchdog.
-type WatchdogConfig struct {
-	// CheckPeriod is the sweep (and downlink ping) interval (default
-	// 250ms).
-	CheckPeriod sim.Time
-	// SuspectAfter marks an island suspect after this much heartbeat
-	// silence (default 3x CheckPeriod).
-	SuspectAfter sim.Time
-	// DeadAfter expires the island's lease after this much silence
-	// (default 8x CheckPeriod): its entities are quarantined until it
-	// rejoins.
-	DeadAfter sim.Time
-	// RejoinHysteresis is the minimum time an island must have been dead
-	// before its next heartbeat counts as a rejoin (default 1x
-	// CheckPeriod). A faster comeback is a flap: the island still returns
-	// to Alive (and OnRejoin still fires so revert timers are cancelled)
-	// but the Rejoins counter waits until the island stays alive for the
-	// hysteresis window, and a re-death inside that probation does not
-	// count another LeaseExpiry — rapid flap cycles register one expiry,
-	// at most one rejoin, and a FlapSuppressed count.
-	RejoinHysteresis sim.Time
-
-	// OnSuspect/OnDead/OnRejoin are optional transition hooks.
-	OnSuspect func(island string)
-	OnDead    func(island string)
-	OnRejoin  func(island string)
-}
-
-func (c *WatchdogConfig) applyDefaults() {
-	if c.CheckPeriod == 0 {
-		c.CheckPeriod = 250 * sim.Millisecond
-	}
-	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 3 * c.CheckPeriod
-	}
-	if c.DeadAfter == 0 {
-		c.DeadAfter = 8 * c.CheckPeriod
-	}
-	if c.RejoinHysteresis == 0 {
-		c.RejoinHysteresis = c.CheckPeriod
-	}
-}
-
 // OverloadControlConfig parameterizes the controller's overload-Trigger
 // translation (EnableOverloadControl).
 type OverloadControlConfig struct {
@@ -180,14 +99,8 @@ type Controller struct {
 	routeLabels map[string]string // interned "controller>target" flight labels
 
 	// Heartbeat/lease watchdog state (EnableWatchdog).
-	wsim           *sim.Simulator
-	wcfg           WatchdogConfig
-	leases         map[string]*lease
-	heartbeats     uint64
-	strayAcks      uint64
-	leaseExpiries  uint64
-	rejoins        uint64
-	flapSuppressed uint64
+	leases    leaseTable
+	strayAcks uint64
 
 	// epochs counts actuation messages (Tune/Trigger/Shed) successfully
 	// routed to each island — the controller's view of how far each
@@ -198,12 +111,13 @@ type Controller struct {
 
 // NewController returns an empty controller.
 func NewController() *Controller {
-	return &Controller{
+	c := &Controller{
 		islands:  make(map[string]IslandHandle),
 		entities: make(map[int]Entity),
-		leases:   make(map[string]*lease),
 		epochs:   make(map[string]uint64),
 	}
+	c.leases = newLeaseTable(func(code uint8, island string) { c.recordLease(code, island, -1) })
+	return c
 }
 
 // SetFlightRecorder taps lease transitions, quarantine drops, and
@@ -304,58 +218,13 @@ func (c *Controller) EnableWatchdog(s *sim.Simulator, cfg WatchdogConfig) (stop 
 	if s == nil {
 		panic("core: controller watchdog needs a simulator")
 	}
-	cfg.applyDefaults()
-	c.wsim = s
-	c.wcfg = cfg
-	return s.Ticker(cfg.CheckPeriod, c.watchdogSweep)
+	c.leases.enable(s, cfg)
+	return s.Ticker(c.leases.cfg.CheckPeriod, c.watchdogSweep)
 }
 
 // watchdogSweep advances lease states and pings remote islands.
 func (c *Controller) watchdogSweep() {
-	now := c.wsim.Now()
-	for _, name := range c.Islands() {
-		l, ok := c.leases[name]
-		if !ok {
-			continue // never heartbeated: not lease-managed
-		}
-		silence := now - l.lastHeard
-		switch l.state {
-		case LeaseAlive:
-			if l.flapped && now-l.rejoinAt >= c.wcfg.RejoinHysteresis {
-				// The probationary rejoin survived the hysteresis
-				// window: it was genuine after all.
-				l.flapped = false
-				c.rejoins++
-				c.recordLease(flight.LeaseRejoin, name, -1)
-			}
-			if silence > c.wcfg.SuspectAfter {
-				l.state = LeaseSuspect
-				c.recordLease(flight.LeaseSuspect, name, -1)
-				if c.wcfg.OnSuspect != nil {
-					c.wcfg.OnSuspect(name)
-				}
-			}
-		case LeaseSuspect:
-			if silence > c.wcfg.DeadAfter {
-				l.state = LeaseDead
-				l.deadAt = now
-				if l.flapped {
-					// Re-death inside the rejoin probation: the earlier
-					// expiry already counted; this is the same outage
-					// continuing, not a new one.
-					l.flapped = false
-				} else {
-					c.leaseExpiries++
-				}
-				c.recordLease(flight.LeaseDead, name, -1)
-				if c.wcfg.OnDead != nil {
-					c.wcfg.OnDead(name)
-				}
-			}
-		case LeaseDead:
-			// Stays dead until a heartbeat rejoins it.
-		}
-	}
+	c.leases.sweep(c.Islands())
 	for _, name := range c.Islands() {
 		h := c.islands[name]
 		ping := Message{Kind: KindHeartbeat, Target: name}
@@ -372,55 +241,15 @@ func (c *Controller) watchdogSweep() {
 }
 
 // observeHeartbeat renews the island's lease, rejoining it if dead.
+// Heartbeats from unregistered islands are counted but otherwise ignored.
 func (c *Controller) observeHeartbeat(island string) {
-	c.heartbeats++
-	if c.wsim == nil || island == "" {
-		return
-	}
-	if _, ok := c.islands[island]; !ok {
-		return // heartbeat from an unregistered island: ignored
-	}
-	l, ok := c.leases[island]
-	if !ok {
-		c.leases[island] = &lease{lastHeard: c.wsim.Now(), state: LeaseAlive}
-		return
-	}
-	if l.state == LeaseDead {
-		now := c.wsim.Now()
-		if now-l.deadAt < c.wcfg.RejoinHysteresis {
-			// Flap: the island came back before serving the minimum dead
-			// time. It rejoins functionally (state, hooks) but the rejoin
-			// stays on probation until it survives the hysteresis window.
-			c.flapSuppressed++
-			l.flapped = true
-			l.rejoinAt = now
-			c.recordLease(flight.LeaseFlap, island, -1)
-		} else {
-			c.rejoins++
-			c.recordLease(flight.LeaseRejoin, island, -1)
-		}
-		if c.wcfg.OnRejoin != nil {
-			c.wcfg.OnRejoin(island)
-		}
-	}
-	l.state = LeaseAlive
-	l.lastHeard = c.wsim.Now()
+	_, known := c.islands[island]
+	c.leases.observe(island, known)
 }
 
 // LeaseOf returns the island's lease state. Islands that never heartbeated
 // (or predate the watchdog) report LeaseAlive and false.
-func (c *Controller) LeaseOf(island string) (LeaseState, bool) {
-	if l, ok := c.leases[island]; ok {
-		return l.state, true
-	}
-	return LeaseAlive, false
-}
-
-// leaseDead reports whether the island's lease has expired.
-func (c *Controller) leaseDead(island string) bool {
-	l, ok := c.leases[island]
-	return ok && l.state == LeaseDead
-}
+func (c *Controller) LeaseOf(island string) (LeaseState, bool) { return c.leases.state(island) }
 
 // Route delivers msg to its target island. Heartbeats renew the sender's
 // lease and are consumed here. Unknown targets, unknown entities, and
@@ -444,7 +273,7 @@ func (c *Controller) Route(msg Message) {
 		c.unroutable[UnrouteUnknownTarget]++
 		return
 	}
-	if c.leaseDead(msg.Target) {
+	if c.leases.dead(msg.Target) {
 		c.unroutable[UnrouteQuarantined]++
 		c.recordLease(flight.LeaseQuarantine, msg.Target, msg.Entity)
 		return
@@ -454,7 +283,7 @@ func (c *Controller) Route(msg Message) {
 		c.unroutable[UnrouteUnknownEntity]++
 		return
 	}
-	if e.Home != "" && c.leaseDead(e.Home) {
+	if e.Home != "" && c.leases.dead(e.Home) {
 		c.unroutable[UnrouteQuarantined]++
 		c.recordLease(flight.LeaseQuarantine, e.Home, msg.Entity)
 		return
@@ -559,22 +388,22 @@ func (c *Controller) UnroutableByReason() []struct {
 }
 
 // Heartbeats returns heartbeat messages observed.
-func (c *Controller) Heartbeats() uint64 { return c.heartbeats }
+func (c *Controller) Heartbeats() uint64 { return c.leases.heartbeats }
 
 // StrayAcks returns reliability-layer acks that erroneously reached the
 // controller.
 func (c *Controller) StrayAcks() uint64 { return c.strayAcks }
 
 // LeaseExpiries returns islands whose lease expired (suspect -> dead).
-func (c *Controller) LeaseExpiries() uint64 { return c.leaseExpiries }
+func (c *Controller) LeaseExpiries() uint64 { return c.leases.expiries }
 
 // Rejoins returns dead islands that re-registered via a fresh heartbeat.
-func (c *Controller) Rejoins() uint64 { return c.rejoins }
+func (c *Controller) Rejoins() uint64 { return c.leases.rejoins }
 
 // FlapSuppressed returns rejoins suppressed by the hysteresis window: the
 // island came back before serving the minimum dead time, so the comeback
 // was held on probation instead of counting immediately.
-func (c *Controller) FlapSuppressed() uint64 { return c.flapSuppressed }
+func (c *Controller) FlapSuppressed() uint64 { return c.leases.flaps }
 
 // RoutedEpoch returns the controller's actuation epoch for the island: how
 // many Tune/Trigger/Shed messages it has successfully routed there.

@@ -34,12 +34,7 @@ type Mesh struct {
 	eps  []*ReliableEndpoint
 
 	// Heartbeat/lease watchdog state (EnableWatchdog).
-	wsim          *sim.Simulator
-	wcfg          WatchdogConfig
-	leases        map[string]*lease
-	heartbeats    uint64
-	leaseExpiries uint64
-	rejoins       uint64
+	leases leaseTable
 }
 
 // meshNode is one island's endpoint: its agent plus direct links to peers.
@@ -59,7 +54,7 @@ func NewMesh(factory func(from, to string) Transport) *Mesh {
 		factory:  factory,
 		nodes:    make(map[string]*meshNode),
 		entities: make(map[int]Entity),
-		leases:   make(map[string]*lease),
+		leases:   newLeaseTable(nil),
 	}
 }
 
@@ -177,85 +172,24 @@ func (m *Mesh) Endpoints() []*ReliableEndpoint {
 // EnableWatchdog starts the lease watchdog over the shared lease table:
 // islands that have heartbeated at least once move Alive -> Suspect ->
 // Dead on silence, and a dead island's entities are quarantined until a
-// fresh heartbeat rejoins it. It returns a stop function.
+// fresh heartbeat rejoins it, with the Controller's flap hysteresis. It
+// returns a stop function.
 func (m *Mesh) EnableWatchdog(s *sim.Simulator, cfg WatchdogConfig) (stop func()) {
 	if s == nil {
 		panic("core: mesh watchdog needs a simulator")
 	}
-	cfg.applyDefaults()
-	m.wsim = s
-	m.wcfg = cfg
-	return s.Ticker(cfg.CheckPeriod, m.watchdogSweep)
-}
-
-// watchdogSweep advances lease states (sorted iteration for determinism).
-func (m *Mesh) watchdogSweep() {
-	now := m.wsim.Now()
-	for _, name := range m.Islands() {
-		l, ok := m.leases[name]
-		if !ok {
-			continue // never heartbeated: not lease-managed
-		}
-		silence := now - l.lastHeard
-		switch l.state {
-		case LeaseAlive:
-			if silence > m.wcfg.SuspectAfter {
-				l.state = LeaseSuspect
-				if m.wcfg.OnSuspect != nil {
-					m.wcfg.OnSuspect(name)
-				}
-			}
-		case LeaseSuspect:
-			if silence > m.wcfg.DeadAfter {
-				l.state = LeaseDead
-				m.leaseExpiries++
-				if m.wcfg.OnDead != nil {
-					m.wcfg.OnDead(name)
-				}
-			}
-		case LeaseDead:
-			// Stays dead until a heartbeat rejoins it.
-		}
-	}
+	m.leases.enable(s, cfg)
+	return s.Ticker(m.leases.cfg.CheckPeriod, func() { m.leases.sweep(m.Islands()) })
 }
 
 // observeHeartbeat renews the island's lease in the shared table.
 func (m *Mesh) observeHeartbeat(island string) {
-	m.heartbeats++
-	if m.wsim == nil || island == "" {
-		return
-	}
-	if _, ok := m.nodes[island]; !ok {
-		return
-	}
-	l, ok := m.leases[island]
-	if !ok {
-		m.leases[island] = &lease{lastHeard: m.wsim.Now(), state: LeaseAlive}
-		return
-	}
-	if l.state == LeaseDead {
-		m.rejoins++
-		if m.wcfg.OnRejoin != nil {
-			m.wcfg.OnRejoin(island)
-		}
-	}
-	l.state = LeaseAlive
-	l.lastHeard = m.wsim.Now()
+	_, known := m.nodes[island]
+	m.leases.observe(island, known)
 }
 
 // LeaseOf returns the island's lease state; false if it never heartbeated.
-func (m *Mesh) LeaseOf(island string) (LeaseState, bool) {
-	if l, ok := m.leases[island]; ok {
-		return l.state, true
-	}
-	return LeaseAlive, false
-}
-
-// leaseDead reports whether the island's lease has expired.
-func (m *Mesh) leaseDead(island string) bool {
-	l, ok := m.leases[island]
-	return ok && l.state == LeaseDead
-}
+func (m *Mesh) LeaseOf(island string) (LeaseState, bool) { return m.leases.state(island) }
 
 // Routed and Unroutable mirror the Controller's counters.
 func (m *Mesh) Routed() uint64 { return m.routed }
@@ -278,13 +212,17 @@ func (m *Mesh) UnroutableFor(r UnrouteReason) uint64 {
 }
 
 // Heartbeats returns heartbeat messages observed across all links.
-func (m *Mesh) Heartbeats() uint64 { return m.heartbeats }
+func (m *Mesh) Heartbeats() uint64 { return m.leases.heartbeats }
 
 // LeaseExpiries returns islands whose lease expired (suspect -> dead).
-func (m *Mesh) LeaseExpiries() uint64 { return m.leaseExpiries }
+func (m *Mesh) LeaseExpiries() uint64 { return m.leases.expiries }
 
 // Rejoins returns dead islands that rejoined via a fresh heartbeat.
-func (m *Mesh) Rejoins() uint64 { return m.rejoins }
+func (m *Mesh) Rejoins() uint64 { return m.leases.rejoins }
+
+// FlapSuppressed returns rejoins held on probation by the hysteresis
+// window (see Controller.FlapSuppressed).
+func (m *Mesh) FlapSuppressed() uint64 { return m.leases.flaps }
 
 // route sends msg from the originating node directly to the target island.
 // An agent heartbeat (no target) is broadcast to every peer so each
@@ -313,7 +251,7 @@ func (m *Mesh) route(from *meshNode, msg Message) {
 		m.unroutable[UnrouteUnknownTarget]++
 		return
 	}
-	if m.leaseDead(msg.Target) {
+	if m.leases.dead(msg.Target) {
 		m.unroutable[UnrouteQuarantined]++
 		return
 	}
@@ -322,7 +260,7 @@ func (m *Mesh) route(from *meshNode, msg Message) {
 		m.unroutable[UnrouteUnknownEntity]++
 		return
 	}
-	if e.Home != "" && m.leaseDead(e.Home) {
+	if e.Home != "" && m.leases.dead(e.Home) {
 		m.unroutable[UnrouteQuarantined]++
 		return
 	}

@@ -92,7 +92,7 @@ func (t *MailboxTransport) SetReceiver(fn func(Message)) {
 // work on large-scale multicores): it delivers messages after a fixed
 // one-way latency without a PCIe device behind it. An optional
 // pcie.ChannelFaults process makes it faultable the same way the mailbox
-// is, so Mesh and cmd/coordscale runs can be chaos-tested too.
+// is, so Mesh runs can be chaos-tested too.
 type SimTransport struct {
 	sim     *sim.Simulator
 	latency sim.Time

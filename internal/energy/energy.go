@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/ixp"
 	"repro/internal/sim"
+	"repro/internal/xen"
 )
 
 // OperatingPoint is one discrete DVFS state of an island.
@@ -60,16 +61,15 @@ func (p OperatingPoint) Watts(util float64) float64 {
 	return p.StaticW + p.DynW*util
 }
 
-// Nominal envelope of the x86 island, matching power.X86Model: 60W idle to
-// 140W with every core busy at the top operating point.
+// Nominal envelope of the x86 island: 60W idle to 140W with every core busy
+// at the top operating point.
 const (
 	x86IdleWatts = 60.0
 	x86BusyWatts = 140.0
 )
 
 // IXP island power decomposition. With every pool active the static floor
-// is ixpFixedWatts + NumMEPools*ixpPoolWatts = 18W, matching power.IXPModel;
-// each allocated hardware thread adds ixpThreadWatts on top.
+// is ixpFixedWatts + NumMEPools*ixpPoolWatts = 18W; each allocated hardware thread adds ixpThreadWatts on top.
 const (
 	ixpFixedWatts  = 6.0
 	ixpPoolWatts   = 3.0
@@ -84,10 +84,6 @@ const (
 	DefaultIXPLatency = 20 * sim.Microsecond
 )
 
-// DefaultX86MaxMHz is the x86 host's hardware maximum frequency — the
-// anchor for the dynamic-power scaling of derived operating points.
-const DefaultX86MaxMHz = 2666
-
 // x86Steps are the default P-state grid of the 2.66 GHz Xeon host.
 var x86Steps = []struct {
 	mhz     int
@@ -97,15 +93,15 @@ var x86Steps = []struct {
 	{1666, 0.900},
 	{2000, 0.925},
 	{2333, 0.950},
-	{2666, 1.000},
+	{xen.MaxFreqMHz, 1.000},
 }
 
 // X86Point derives one x86 operating point from a frequency/voltage pair:
 // static power follows V^2 (leakage), dynamic power follows f*V^2, both
 // anchored so the top point reproduces the island's nominal 60W/140W
-// envelope.
-func X86Point(mhz, maxMHz int, voltage float64) OperatingPoint {
-	fRatio := float64(mhz) / float64(maxMHz)
+// envelope at the host's xen.MaxFreqMHz.
+func X86Point(mhz int, voltage float64) OperatingPoint {
+	fRatio := float64(mhz) / float64(xen.MaxFreqMHz)
 	v2 := voltage * voltage
 	return OperatingPoint{
 		Name:    fmt.Sprintf("%dMHz", mhz),
@@ -118,12 +114,12 @@ func X86Point(mhz, maxMHz int, voltage float64) OperatingPoint {
 }
 
 // DefaultX86Table returns the x86 island's operating points, lowest
-// frequency first. The top point's power model is exactly the pre-DVFS
-// X86Model envelope.
+// frequency first. The top point's power model is exactly the nominal
+// 60W/140W envelope.
 func DefaultX86Table() []OperatingPoint {
 	pts := make([]OperatingPoint, 0, len(x86Steps))
 	for _, s := range x86Steps {
-		pts = append(pts, X86Point(s.mhz, DefaultX86MaxMHz, s.voltage))
+		pts = append(pts, X86Point(s.mhz, s.voltage))
 	}
 	return pts
 }
@@ -142,7 +138,7 @@ func IXPPoint(n int) OperatingPoint {
 }
 
 // DefaultIXPTable returns the IXP island's gating states, most-gated first.
-// With every pool active the static floor matches the pre-DVFS IXPModel.
+// With every pool active the static floor is the island's nominal 18W.
 func DefaultIXPTable() []OperatingPoint {
 	pts := make([]OperatingPoint, 0, ixp.NumMEPools)
 	for n := 1; n <= ixp.NumMEPools; n++ {

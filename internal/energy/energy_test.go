@@ -418,7 +418,7 @@ func TestCoordinatedPatience(t *testing.T) {
 	h.s.RunUntil(h.s.Now() + sim.Millisecond)
 	top := len(h.x86.Points()) - 1
 
-	slack := 100 * sim.Millisecond // far below Headroom*Target
+	slack := 100 * sim.Millisecond // far below headroom*Target
 	for i := 0; i < x86DownPatience-1; i++ {
 		h.step(slack)
 	}

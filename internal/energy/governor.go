@@ -41,11 +41,15 @@ const (
 	violationPenalty = 8
 )
 
-// defaultHeadroom is the fraction of the QoS target below which the
-// coordinated governor considers the platform to have latency slack worth
-// converting into energy savings. The band between Headroom*Target and
-// Target is the hysteresis dead zone the governor settles into.
-const defaultHeadroom = 0.8
+// headroom is the fraction of the QoS target below which the coordinated
+// governor considers the platform to have latency slack worth converting
+// into energy savings. The band between headroom*Target and Target is the
+// hysteresis dead zone the governor settles into.
+const headroom = 0.8
+
+// boostCooldown is the minimum time between bottleneck boosts, so a long
+// violation episode does not spray one Tune per control window.
+const boostCooldown = sim.Second
 
 // Ondemand is one island's local utilization governor: it senses nothing
 // but its own island's utilization, so it cannot tell latency slack from
@@ -77,13 +81,9 @@ func (g *Ondemand) tick() {
 // CoordinatedConfig parameterizes the cross-island governor.
 type CoordinatedConfig struct {
 	// Target is the end-to-end p95 latency SLO; p95 above it is a QoS
-	// violation and triggers escalation.
+	// violation and triggers escalation, and p95 below headroom*Target is
+	// slack the governor converts into energy savings.
 	Target sim.Time
-
-	// Headroom (0..1) scales Target into the de-escalation threshold:
-	// p95 below Headroom*Target is slack the governor converts into
-	// energy savings. Defaults to 0.8.
-	Headroom float64
 
 	// X86 and IXP are sensed (ladder position, in-flight transitions)
 	// but never actuated directly: actuation goes through the Tune
@@ -110,11 +110,6 @@ type CoordinatedConfig struct {
 	// islands at top speed". May be nil.
 	BoostBottleneck func()
 
-	// BoostCooldown is the minimum time between bottleneck boosts
-	// (default 1s), so a long violation episode does not spray one Tune
-	// per control window.
-	BoostCooldown sim.Time
-
 	Recorder *flight.Recorder // QoS violation taps; may be nil
 }
 
@@ -137,13 +132,7 @@ type Coordinated struct {
 // NewCoordinated builds the coordinated governor. Step must then be called
 // once per control window with the window's end-to-end p95.
 func NewCoordinated(s *sim.Simulator, cfg CoordinatedConfig) *Coordinated {
-	if cfg.Headroom <= 0 || cfg.Headroom >= 1 {
-		cfg.Headroom = defaultHeadroom
-	}
-	if cfg.BoostCooldown == 0 {
-		cfg.BoostCooldown = sim.Second
-	}
-	return &Coordinated{cfg: cfg, sim: s, lastBoost: -cfg.BoostCooldown}
+	return &Coordinated{cfg: cfg, sim: s, lastBoost: -boostCooldown}
 }
 
 // SetBoostBottleneck installs the bottleneck-tier weight boost after
@@ -178,11 +167,11 @@ func (g *Coordinated) Step(p95 sim.Time, n int) {
 		g.escalate()
 		return
 	}
-	if p95 < sim.Time(float64(c.Target)*c.Headroom) {
+	if p95 < sim.Time(float64(c.Target)*headroom) {
 		g.slack++
 		g.deescalate()
 	}
-	// The dead zone between Headroom*Target and Target neither builds nor
+	// The dead zone between headroom*Target and Target neither builds nor
 	// spends slack: it is evidence of equilibrium, not of room to cut.
 }
 
@@ -201,7 +190,7 @@ func (g *Coordinated) escalate() {
 		g.actions++
 		return
 	}
-	if c.BoostBottleneck != nil && g.sim.Now()-g.lastBoost >= c.BoostCooldown {
+	if c.BoostBottleneck != nil && g.sim.Now()-g.lastBoost >= boostCooldown {
 		g.lastBoost = g.sim.Now()
 		c.BoostBottleneck()
 		g.actions++

@@ -59,18 +59,21 @@ func Cycles(n int) sim.Time {
 	return sim.Time(float64(n) / ClockHz * float64(sim.Second))
 }
 
+// classifierThreads is the Rx classification pool size at boot.
+const classifierThreads = 8
+
+// txCost is the per-packet transmit cost to the wire (~0.7us).
+var txCost = TxProfile.ServiceTime()
+
 // Config tunes the IXP model. Zero fields take defaults chosen to
 // approximate the prototype.
 type Config struct {
 	ClassifyCost   sim.Time // DPI cost per received packet (default ~1.4us = 2000 cycles)
 	DequeueCost    sim.Time // per-packet dequeue+descriptor cost (default ~0.7us)
-	TxCost         sim.Time // per-packet transmit cost to the wire (default ~0.7us)
 	PollInterval   sim.Time // dequeue-thread polling interval when idle (default 50us)
 	ThreadsPerFlow int      // initial dequeue threads per VM flow queue (default 2)
 	BufferBytes    int      // DRAM buffer pool per flow queue (default 512 KB)
-
-	ClassifierThreads int // Rx classification pool size (default 8)
-	RxRingBytes       int // SRAM Rx ring ahead of classification (default 256 KB)
+	RxRingBytes    int      // SRAM Rx ring ahead of classification (default 256 KB)
 }
 
 func (c *Config) applyDefaults() {
@@ -80,9 +83,6 @@ func (c *Config) applyDefaults() {
 	if c.DequeueCost == 0 {
 		c.DequeueCost = DequeueProfile.ServiceTime()
 	}
-	if c.TxCost == 0 {
-		c.TxCost = TxProfile.ServiceTime()
-	}
 	if c.PollInterval == 0 {
 		c.PollInterval = 50 * sim.Microsecond
 	}
@@ -91,9 +91,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 512 << 10
-	}
-	if c.ClassifierThreads == 0 {
-		c.ClassifierThreads = 8
 	}
 	if c.RxRingBytes == 0 {
 		c.RxRingBytes = 256 << 10
@@ -171,12 +168,12 @@ func New(s *sim.Simulator, cfg Config, hostChan *pcie.Channel, deliver func(*net
 	//lint:allow tapcover(construction-time provisioning; the flight recorder is not attached yet and replay starts from the constructed state)
 	x.txq.setThreads(x.txThreads)
 	x.rx = newRxStage(x, cfg.RxRingBytes)
-	if err := x.mes.Assign(cfg.ClassifierThreads); err != nil {
+	if err := x.mes.Assign(classifierThreads); err != nil {
 		panic(fmt.Sprintf("ixp: assigning classifier microengine threads: %v", err))
 	}
-	x.threads += cfg.ClassifierThreads
+	x.threads += classifierThreads
 	//lint:allow tapcover(construction-time provisioning; the flight recorder is not attached yet and replay starts from the constructed state)
-	x.rx.setThreads(cfg.ClassifierThreads)
+	x.rx.setThreads(classifierThreads)
 	return x
 }
 

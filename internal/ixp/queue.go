@@ -157,7 +157,7 @@ func (q *FlowQueue) workerLoop(id int) {
 	}
 	var cost sim.Time
 	if q.vmID == -1 {
-		cost = q.x.cfg.TxCost
+		cost = txCost
 	} else {
 		cost = q.x.cfg.DequeueCost
 	}

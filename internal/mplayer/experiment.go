@@ -27,11 +27,21 @@ const (
 	lightPollCost = 400 * sim.Microsecond  // ~0.2 cores
 )
 
+// warmup is when the experiments start counting played frames.
+const warmup = 10 * sim.Second
+
+// Burst shape of the Figure 7 / Table 3 UDP stream (no flow control): a
+// 4x rate burst lasting 10s every 30s.
+const (
+	burstPeriod = 30 * sim.Second
+	burstLen    = 10 * sim.Second
+	burstFactor = 4
+)
+
 // QoSConfig parameterizes the Figure 6 experiment.
 type QoSConfig struct {
 	Seed     int64
 	Duration sim.Time // per-configuration run length (default 60s)
-	Warmup   sim.Time // default 10s
 }
 
 func (c *QoSConfig) applyDefaults() {
@@ -40,9 +50,6 @@ func (c *QoSConfig) applyDefaults() {
 	}
 	if c.Duration == 0 {
 		c.Duration = 60 * sim.Second
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * sim.Second
 	}
 }
 
@@ -132,8 +139,8 @@ func RunQoSExperiment(cfg QoSConfig) []QoSPoint {
 			Dom1Weight:     d1.Weight(),
 			Dom2Weight:     d2.Weight(),
 			Dom2IXPThreads: p.IXP.FlowThreads(d2.ID()),
-			Dom1FPS:        pl1.FPS(cfg.Warmup, p.Sim.Now()),
-			Dom2FPS:        pl2.FPS(cfg.Warmup, p.Sim.Now()),
+			Dom1FPS:        pl1.FPS(warmup, p.Sim.Now()),
+			Dom2FPS:        pl2.FPS(warmup, p.Sim.Now()),
 		})
 	}
 	return out
@@ -143,14 +150,7 @@ func RunQoSExperiment(cfg QoSConfig) []QoSPoint {
 type TriggerConfig struct {
 	Seed      int64
 	Duration  sim.Time // default 180s (the paper's x-axis)
-	Warmup    sim.Time // default 10s
 	Threshold int      // IXP buffer trigger threshold (default 128 KB)
-
-	// Burst shape of the UDP stream (no flow control).
-	BurstPeriod sim.Time // default 30s
-	BurstLen    sim.Time // default 10s
-	BurstFactor float64  // default 4x
-
 }
 
 func (c *TriggerConfig) applyDefaults() {
@@ -160,20 +160,8 @@ func (c *TriggerConfig) applyDefaults() {
 	if c.Duration == 0 {
 		c.Duration = 180 * sim.Second
 	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * sim.Second
-	}
 	if c.Threshold == 0 {
 		c.Threshold = core.DefaultWatermark
-	}
-	if c.BurstPeriod == 0 {
-		c.BurstPeriod = 30 * sim.Second
-	}
-	if c.BurstLen == 0 {
-		c.BurstLen = 10 * sim.Second
-	}
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 4
 	}
 }
 
@@ -235,11 +223,11 @@ func RunTriggerExperiment(cfg TriggerConfig, coordinated bool) *TriggerResult {
 	// Arm the burst schedule.
 	var schedule func()
 	schedule = func() {
-		srv.SetBurst(true, cfg.BurstFactor)
-		p.Sim.After(cfg.BurstLen, func() { srv.SetBurst(false, 1) })
-		p.Sim.After(cfg.BurstPeriod, schedule)
+		srv.SetBurst(true, burstFactor)
+		p.Sim.After(burstLen, func() { srv.SetBurst(false, 1) })
+		p.Sim.After(burstPeriod, schedule)
 	}
-	p.Sim.After(cfg.BurstPeriod-cfg.BurstLen, schedule)
+	p.Sim.After(burstPeriod-burstLen, schedule)
 
 	// Figure 7 series: Dom-1 CPU utilization and IXP buffer occupancy.
 	util := stats.NewTimeSeries("dom1-cpu")
@@ -260,7 +248,7 @@ func RunTriggerExperiment(cfg TriggerConfig, coordinated bool) *TriggerResult {
 	p.Sim.RunUntil(cfg.Duration)
 	res := &TriggerResult{
 		Coordinated: coordinated,
-		Dom1FPS:     pl1.FPS(cfg.Warmup, p.Sim.Now()),
+		Dom1FPS:     pl1.FPS(warmup, p.Sim.Now()),
 		CPUUtil:     util,
 		BufferIn:    buf,
 		Dom1Drops:   pl1.Dropped(),
@@ -268,7 +256,7 @@ func RunTriggerExperiment(cfg TriggerConfig, coordinated bool) *TriggerResult {
 	if coordinated {
 		res.Triggers = p.IXPAgent.Stats().TriggersSent
 	}
-	res.Dom2FPS = pl2.FPS(cfg.Warmup, p.Sim.Now())
+	res.Dom2FPS = pl2.FPS(warmup, p.Sim.Now())
 	return res
 }
 

@@ -8,6 +8,9 @@ import (
 	"repro/internal/xen"
 )
 
+// txCostPerPacket is the Dom0 CPU charged per transmitted packet.
+const txCostPerPacket = 4 * sim.Microsecond
+
 // Config sets the CPU costs the host network path charges to Dom0. The
 // paper's prototype funnels all VM traffic through the messaging driver,
 // the IXP ViF (socket-buffer conversion), and the Xen bridge, all running
@@ -15,7 +18,6 @@ import (
 // Dom0 "system" time.
 type Config struct {
 	RxCostPerPacket sim.Time // Dom0 CPU per received packet (default 4us)
-	TxCostPerPacket sim.Time // Dom0 CPU per transmitted packet (default 4us)
 	RxBatch         int      // packets handled per Dom0 task (default 8)
 
 	// IntrPeriod enables interrupt moderation: the IXP "can be programmed
@@ -29,9 +31,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.RxCostPerPacket == 0 {
 		c.RxCostPerPacket = 4 * sim.Microsecond
-	}
-	if c.TxCostPerPacket == 0 {
-		c.TxCostPerPacket = 4 * sim.Microsecond
 	}
 	if c.RxBatch == 0 {
 		c.RxBatch = 8
@@ -240,7 +239,7 @@ func (h *HostStack) Transmit(p *Packet) {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("netsim: invalid packet: %v", err))
 	}
-	h.dom0.SubmitFunc(h.cfg.TxCostPerPacket, "net-tx", func() {
+	h.dom0.SubmitFunc(txCostPerPacket, "net-tx", func() {
 		h.txCount++
 		h.txChan.Send(p.Size, func() {
 			if h.onTxIXP != nil {

@@ -34,6 +34,10 @@ func (s BreakerState) String() string {
 	}
 }
 
+// probeJitter is the widest fraction of OpenTimeout added to a breaker's
+// probe hold.
+const probeJitter = 0.25
+
 // BreakerConfig parameterizes a Breaker. Zero fields take the defaults
 // noted below.
 type BreakerConfig struct {
@@ -41,12 +45,10 @@ type BreakerConfig struct {
 	// breaker open (default 3).
 	FailureThreshold int
 	// OpenTimeout is the base hold before the first half-open probe
-	// (default 100ms).
+	// (default 100ms). Each hold is widened by a uniform fraction of
+	// OpenTimeout in [0, probeJitter), decorrelating probes across
+	// breakers.
 	OpenTimeout sim.Time
-	// ProbeJitter widens the hold by a uniform fraction of OpenTimeout in
-	// [0, ProbeJitter), decorrelating probes across breakers (default 0.25;
-	// negative disables).
-	ProbeJitter float64
 	// SuccessThreshold is the consecutive probe successes that close a
 	// half-open breaker (default 2).
 	SuccessThreshold int
@@ -62,9 +64,6 @@ func (c *BreakerConfig) applyDefaults() {
 	}
 	if c.OpenTimeout == 0 {
 		c.OpenTimeout = 100 * sim.Millisecond
-	}
-	if c.ProbeJitter == 0 {
-		c.ProbeJitter = 0.25
 	}
 	if c.SuccessThreshold == 0 {
 		c.SuccessThreshold = 2
@@ -193,10 +192,7 @@ func (b *Breaker) RecordFailure() {
 
 // open enters the Open state with a jittered probe hold.
 func (b *Breaker) open() {
-	hold := b.cfg.OpenTimeout
-	if b.cfg.ProbeJitter > 0 {
-		hold += b.cfg.OpenTimeout.Scale(b.cfg.ProbeJitter * b.rng.Float64())
-	}
+	hold := b.cfg.OpenTimeout + b.cfg.OpenTimeout.Scale(probeJitter*b.rng.Float64())
 	b.openUntil = b.sim.Now() + hold
 	b.transition(BreakerOpen)
 }

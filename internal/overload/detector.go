@@ -1,21 +1,16 @@
 package overload
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // DetectorConfig parameterizes an overload Detector.
 type DetectorConfig struct {
 	// Alpha is the EWMA weight of each new sample (default 0.1).
 	Alpha float64
 	// Threshold is the smoothed queue delay above which the detector
-	// declares overload (default 1s).
+	// declares overload (default 1s). Once overloaded, the detector
+	// recovers only when the smoothed delay falls below the hysteresis
+	// floor Threshold/2.
 	Threshold sim.Time
-	// Clear is the hysteresis floor: once overloaded, the detector recovers
-	// only when the smoothed delay falls below Clear (default Threshold/2).
-	Clear sim.Time
 }
 
 func (c *DetectorConfig) applyDefaults() {
@@ -24,9 +19,6 @@ func (c *DetectorConfig) applyDefaults() {
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = sim.Second
-	}
-	if c.Clear <= 0 {
-		c.Clear = c.Threshold / 2
 	}
 }
 
@@ -54,9 +46,6 @@ type Detector struct {
 // NewDetector builds a detector.
 func NewDetector(cfg DetectorConfig) *Detector {
 	cfg.applyDefaults()
-	if cfg.Clear > cfg.Threshold {
-		panic(fmt.Sprintf("overload: detector clear %v above threshold %v", cfg.Clear, cfg.Threshold))
-	}
 	return &Detector{cfg: cfg}
 }
 
@@ -78,7 +67,7 @@ func (d *Detector) Sample(delay sim.Time) {
 		if d.OnChange != nil {
 			d.OnChange(true)
 		}
-	case d.overloaded && d.ewma < float64(d.cfg.Clear):
+	case d.overloaded && d.ewma < float64(d.cfg.Threshold/2):
 		d.overloaded = false
 		if d.OnChange != nil {
 			d.OnChange(false)

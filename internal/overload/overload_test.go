@@ -195,7 +195,7 @@ func TestDetectorHysteresis(t *testing.T) {
 		t.Fatalf("not overloaded at smoothed %v", d.Smoothed())
 	}
 	// Hysteresis: two zero samples pull the EWMA below the threshold
-	// (~99.9ms) but not below Clear (default threshold/2); the verdict
+	// (~99.9ms) but not below the Threshold/2 floor; the verdict
 	// must hold inside the band.
 	d.Sample(0)
 	d.Sample(0)

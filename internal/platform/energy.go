@@ -23,6 +23,9 @@ const (
 	EnergyEntityIXP = 1001
 )
 
+// meterPeriod is the energy meter's integration window.
+const meterPeriod = 100 * sim.Millisecond
+
 // EnergyConfig arms the energy subsystem: per-island DVFS state machines,
 // the always-on energy meter, and the configured governor.
 type EnergyConfig struct {
@@ -35,20 +38,13 @@ type EnergyConfig struct {
 	Governor string
 
 	// QoSTargetP95 is the coordinated governor's end-to-end latency SLO
-	// (default 250ms).
+	// (default 2s).
 	QoSTargetP95 sim.Time
-
-	// Headroom scales QoSTargetP95 into the coordinated governor's
-	// de-escalation threshold (default 0.6).
-	Headroom float64
 
 	// Period is the governor control window (default 500ms): the
 	// ondemand governors' re-evaluation tick and the coordinated
 	// governor's p95 window.
 	Period sim.Time
-
-	// MeterPeriod is the energy-integration window (default 100ms).
-	MeterPeriod sim.Time
 
 	// X86Table and IXPTable override the default operating-point tables.
 	// The top point of each table must match the island's hardware
@@ -66,9 +62,6 @@ func (c *EnergyConfig) applyDefaults() {
 	}
 	if c.Period == 0 {
 		c.Period = 500 * sim.Millisecond
-	}
-	if c.MeterPeriod == 0 {
-		c.MeterPeriod = 100 * sim.Millisecond
 	}
 	if c.X86Table == nil {
 		c.X86Table = energy.DefaultX86Table()
@@ -207,7 +200,7 @@ func (p *Platform) enableEnergy(cfg EnergyConfig) {
 	// utilization, the IXP term follows the thread allocation (per-thread
 	// power dominates a network processor's dynamic draw).
 	meterUtil := x86UtilFn(s, p.HV)
-	p.EnergyMeter = energy.NewMeter(s, cfg.MeterPeriod, []energy.IslandSource{
+	p.EnergyMeter = energy.NewMeter(s, meterPeriod, []energy.IslandSource{
 		{Name: X86Island, Watts: func() float64 { return x86m.Current().Watts(meterUtil()) }},
 		{Name: IXPIsland, Watts: func() float64 {
 			return ixpm.Current().StaticW + energy.IXPThreadWatts(p.IXP.ThreadsAllocated())
@@ -223,7 +216,6 @@ func (p *Platform) enableEnergy(cfg EnergyConfig) {
 	case energy.ModeCoordinated:
 		p.EnergyGov = energy.NewCoordinated(s, energy.CoordinatedConfig{
 			Target:     cfg.QoSTargetP95,
-			Headroom:   cfg.Headroom,
 			X86:        x86m,
 			IXP:        ixpm,
 			X86Util:    x86UtilFn(s, p.HV),

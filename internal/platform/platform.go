@@ -31,15 +31,19 @@ const (
 	IXPIsland = "ixp"
 )
 
+// dom0Weight is Dom0's credit weight.
+const dom0Weight = 256
+
+// degradeHold is how long the controller waits after the IXP lease dies
+// before reverting guest weights to their registration baselines. A
+// rejoin inside the window cancels the revert.
+const degradeHold = 500 * sim.Millisecond
+
 // Config parameterizes the testbed. Zero values take prototype defaults.
 type Config struct {
-	Seed         int64       // simulation seed (default 1)
-	Xen          xen.Options // x86 island configuration
-	IXP          ixp.Config  // IXP island configuration
+	Seed         int64 // simulation seed (default 1)
 	HostNet      netsim.Config
-	PCIe         pcie.Config // bulk DMA channel parameters
-	CoordLatency sim.Time    // one-way coordination mailbox latency (default 150us)
-	Dom0Weight   int         // Dom0 credit weight (default 256)
+	CoordLatency sim.Time // one-way coordination mailbox latency (default 150us)
 
 	// TuneRateLimit, when positive, rate-limits outbound coordination
 	// messages per (kind, entity) on the IXP agent.
@@ -56,11 +60,6 @@ type Config struct {
 	// purely observational and never changes simulated metrics.
 	Flight *flight.Recorder
 
-	// CoordLossRate injects uniform coordination-message loss on the
-	// mailbox (0 = lossless). It is legacy shorthand for a CoordFaults
-	// plan containing only LossRate; setting both is an error.
-	CoordLossRate float64
-
 	// CoordFaults arms the full deterministic fault-injection harness on
 	// the coordination mailbox: loss, bursts, duplication, reordering,
 	// latency spikes, timed partitions, and island crash windows (which
@@ -71,8 +70,7 @@ type Config struct {
 	// (sequence numbers, ack/retry with capped exponential backoff,
 	// receiver-side dedup and reordering; see core.ClassFor for the
 	// per-kind delivery classes).
-	Reliable    bool
-	ReliableCfg core.ReliableConfig
+	Reliable bool
 
 	// Breaker, when non-nil, arms a circuit breaker
 	// on each mailbox endpoint's send path: retry exhaustion opens the
@@ -107,13 +105,6 @@ type Config struct {
 	// beacons and starts the controller's lease watchdog plus the agent's
 	// uplink-health monitor at that period.
 	HeartbeatInterval sim.Time
-	// LeaseSuspectAfter and LeaseDeadAfter override the watchdog's
-	// silence thresholds (defaults: 3x and 8x HeartbeatInterval).
-	LeaseSuspectAfter, LeaseDeadAfter sim.Time
-	// DegradeHold is how long the controller waits after the IXP lease
-	// dies before reverting guest weights to their registration baselines
-	// (default 500ms). A rejoin inside the window cancels the revert.
-	DegradeHold sim.Time
 
 	// Energy, when non-nil, arms the energy subsystem: per-island DVFS
 	// state machines registered as coordination islands, the integrating
@@ -130,29 +121,17 @@ func (c *Config) applyDefaults() {
 	if c.CoordLatency == 0 {
 		c.CoordLatency = 150 * sim.Microsecond
 	}
-	if c.Dom0Weight == 0 {
-		c.Dom0Weight = 256
-	}
-	if c.PCIe == (pcie.Config{}) {
-		c.PCIe = pcie.DefaultConfig()
-	}
 	if c.MinGuestWeight == 0 {
 		c.MinGuestWeight = 64
 	}
 	if c.MaxGuestWeight == 0 {
 		c.MaxGuestWeight = 1024
 	}
-	if c.DegradeHold == 0 {
-		c.DegradeHold = 500 * sim.Millisecond
-	}
 }
 
 // validate rejects settings that contradict each other instead of
 // silently ignoring one of them.
 func (c *Config) validate() error {
-	if c.CoordLossRate > 0 && c.CoordFaults != nil {
-		return fmt.Errorf("CoordLossRate %g set together with CoordFaults; put the loss in the plan's LossRate", c.CoordLossRate)
-	}
 	if c.Breaker != nil && !c.Reliable {
 		return fmt.Errorf("Breaker set without Reliable; the breaker guards the reliable endpoints' send path")
 	}
@@ -271,17 +250,17 @@ func New(cfg Config) *Platform {
 	}
 	s := sim.New(cfg.Seed)
 
-	hv := xen.New(s, cfg.Xen)
-	dom0 := hv.CreateDomain("Dom0", cfg.Dom0Weight, 1)
+	hv := xen.New(s, xen.Options{})
+	dom0 := hv.CreateDomain("Dom0", dom0Weight, 1)
 	ctl := xen.NewCtl(hv)
 	ctl.SetFlightRecorder(cfg.Flight)
 
 	// Bulk data path: one DMA channel per direction.
-	ixpToHost := pcie.NewChannel(s, "ixp->host", cfg.PCIe)
-	hostToIXP := pcie.NewChannel(s, "host->ixp", cfg.PCIe)
+	ixpToHost := pcie.NewChannel(s, "ixp->host", pcie.DefaultConfig())
+	hostToIXP := pcie.NewChannel(s, "host->ixp", pcie.DefaultConfig())
 
 	host := netsim.NewHostStack(s, dom0, hostToIXP, cfg.HostNet)
-	x := ixp.New(s, cfg.IXP, ixpToHost, host.DeliverFromIXP)
+	x := ixp.New(s, ixp.Config{}, ixpToHost, host.DeliverFromIXP)
 	x.SetFlightRecorder(cfg.Flight)
 	host.ConnectIXPTransmit(x.TransmitFromHost)
 	x.ConnectHostGate(host.RingFull)
@@ -289,9 +268,6 @@ func New(cfg Config) *Platform {
 	// Coordination plane: mailbox in PCI config space, controller in Dom0.
 	mb := pcie.NewMailbox(s, cfg.CoordLatency)
 	plan := cfg.CoordFaults
-	if plan == nil && cfg.CoordLossRate > 0 {
-		plan = &pcie.FaultPlan{Seed: cfg.Seed, LossRate: cfg.CoordLossRate}
-	}
 	var inj *pcie.Injector
 	if plan != nil {
 		if err := plan.Validate(); err != nil {
@@ -367,7 +343,7 @@ func New(cfg Config) *Platform {
 		// reverse one; acks ride the reverse direction. With a breaker
 		// template configured, each endpoint gets its own copy with a
 		// derived probe-jitter seed so their probes do not synchronize.
-		upCfg, downCfg := cfg.ReliableCfg, cfg.ReliableCfg
+		var upCfg, downCfg core.ReliableConfig
 		if cfg.Breaker != nil {
 			upB, downB := *cfg.Breaker, *cfg.Breaker
 			upB.Seed = cfg.Breaker.Seed*2 + 1
@@ -473,9 +449,7 @@ func (p *Platform) enableWatchdog() {
 
 	var revert *sim.Event
 	wcfg := core.WatchdogConfig{
-		CheckPeriod:  cfg.HeartbeatInterval,
-		SuspectAfter: cfg.LeaseSuspectAfter,
-		DeadAfter:    cfg.LeaseDeadAfter,
+		CheckPeriod: cfg.HeartbeatInterval,
 		OnDead: func(island string) {
 			if island != IXPIsland {
 				return
@@ -483,7 +457,7 @@ func (p *Platform) enableWatchdog() {
 			if revert != nil {
 				revert.Cancel()
 			}
-			revert = p.Sim.After(cfg.DegradeHold, func() {
+			revert = p.Sim.After(degradeHold, func() {
 				revert = nil
 				p.X86Act.RevertToBaseline()
 			})
@@ -503,10 +477,7 @@ func (p *Platform) enableWatchdog() {
 	} else {
 		p.Controller.EnableWatchdog(p.Sim, wcfg)
 	}
-	p.IXPAgent.EnableDegradation(p.Sim, core.DegradeConfig{
-		CheckPeriod:  cfg.HeartbeatInterval,
-		LeaseTimeout: cfg.LeaseDeadAfter,
-	})
+	p.IXPAgent.EnableDegradation(p.Sim, core.DegradeConfig{CheckPeriod: cfg.HeartbeatInterval})
 
 	// The x86 agent watches the controller symmetrically: the watchdog
 	// sweep pings co-located islands too, so when the coordination plane
@@ -517,13 +488,12 @@ func (p *Platform) enableWatchdog() {
 	// rebuilds actuation from the reconciled state.
 	var x86Revert *sim.Event
 	p.X86Agent.EnableDegradation(p.Sim, core.DegradeConfig{
-		CheckPeriod:  cfg.HeartbeatInterval,
-		LeaseTimeout: cfg.LeaseDeadAfter,
+		CheckPeriod: cfg.HeartbeatInterval,
 		OnDegrade: func() {
 			if x86Revert != nil {
 				x86Revert.Cancel()
 			}
-			x86Revert = p.Sim.After(cfg.DegradeHold, func() {
+			x86Revert = p.Sim.After(degradeHold, func() {
 				x86Revert = nil
 				p.X86Act.RevertToBaseline()
 			})

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/overload"
-	"repro/internal/pcie"
 	"repro/internal/sim"
 )
 
@@ -188,7 +187,6 @@ func TestNewRejectsContradictoryConfig(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"loss rate with fault plan", Config{CoordLossRate: 0.1, CoordFaults: &pcie.FaultPlan{LossRate: 0.2}}, "CoordLossRate"},
 		{"breaker without reliable", Config{Breaker: &overload.BreakerConfig{}}, "Breaker"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

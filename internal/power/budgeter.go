@@ -20,29 +20,28 @@ type Target struct {
 
 // BudgeterConfig tunes the platform power-cap controller.
 type BudgeterConfig struct {
-	CapWatts float64  // platform-level power budget
-	Period   sim.Time // control period (default 500ms)
-	Headroom float64  // restore when total < cap - headroom (default 5W)
+	CapWatts float64 // platform-level power budget
+	Headroom float64 // restore when total < cap - headroom (default 5W)
 }
 
+// budgetPeriod is the Budgeter's control period.
+const budgetPeriod = 500 * sim.Millisecond
+
 func (c *BudgeterConfig) applyDefaults() {
-	if c.Period == 0 {
-		c.Period = 500 * sim.Millisecond
-	}
 	if c.Headroom == 0 {
 		c.Headroom = 5
 	}
 }
 
 // Budgeter is the platform power-cap coordination policy: it runs alongside
-// the global controller, samples every island's power model each period,
+// the global controller, samples every island's metered power each period,
 // and — strictly via Tune messages — throttles targets while the platform
 // exceeds its cap and restores them while comfortably below it.
 type Budgeter struct {
-	sim    *sim.Simulator
-	cfg    BudgeterConfig
-	agent  *core.Agent
-	models []Model
+	sim      *sim.Simulator
+	cfg      BudgeterConfig
+	agent    *core.Agent
+	readings []Reading
 	// hv lets the budgeter pick the hottest x86 target (highest recent
 	// utilization); nil disables utilization-aware victim selection.
 	hv *xen.Hypervisor
@@ -60,7 +59,7 @@ type Budgeter struct {
 
 // NewBudgeter builds the policy. The agent must be able to route to every
 // target's island (typically the controller-co-located agent).
-func NewBudgeter(s *sim.Simulator, cfg BudgeterConfig, agent *core.Agent, hv *xen.Hypervisor, models []Model, targets []Target) *Budgeter {
+func NewBudgeter(s *sim.Simulator, cfg BudgeterConfig, agent *core.Agent, hv *xen.Hypervisor, readings []Reading, targets []Target) *Budgeter {
 	cfg.applyDefaults()
 	if cfg.CapWatts <= 0 {
 		panic(fmt.Sprintf("power: cap %v watts", cfg.CapWatts))
@@ -68,18 +67,18 @@ func NewBudgeter(s *sim.Simulator, cfg BudgeterConfig, agent *core.Agent, hv *xe
 	if agent == nil {
 		panic("power: budgeter with nil agent")
 	}
-	if len(models) == 0 || len(targets) == 0 {
-		panic("power: budgeter needs models and targets")
+	if len(readings) == 0 || len(targets) == 0 {
+		panic("power: budgeter needs readings and targets")
 	}
 	return &Budgeter{
 		sim:       s,
 		cfg:       cfg,
 		agent:     agent,
-		models:    models,
+		readings:  readings,
 		hv:        hv,
 		targets:   targets,
 		throttled: make(map[Target]int),
-		series:    newSeries(models),
+		series:    newSeries(readings),
 		lastBusy:  make(map[int]sim.Time),
 	}
 }
@@ -98,14 +97,14 @@ func (b *Budgeter) Throttled(t Target) int { return b.throttled[t] }
 
 // Start arms the control loop; the returned function stops it.
 func (b *Budgeter) Start() (stop func()) {
-	b.stop = b.sim.Ticker(b.cfg.Period, b.step)
+	b.stop = b.sim.Ticker(budgetPeriod, b.step)
 	return b.stop
 }
 
 // step is one control period.
 func (b *Budgeter) step() {
 	now := b.sim.Now()
-	sum, per := total(b.models, now)
+	sum, per := total(b.readings)
 	b.series.Total.Add(now, sum)
 	for name, w := range per {
 		b.series.PerIsland[name].Add(now, w)

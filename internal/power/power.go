@@ -7,7 +7,7 @@
 // components on another, and an island acting alone cannot know how much of
 // the budget the rest of the platform consumes. The Budgeter below is a
 // coordination policy built from the same Tune mechanism as the CPU
-// schemes: a platform controller samples per-island power models and sends
+// schemes: a platform controller samples per-island metered power and sends
 // throttle/restore Tunes to per-island power actuators (CPU caps on the
 // Xen island, dequeue-thread deallocation on the IXP island).
 package power
@@ -15,107 +15,18 @@ package power
 import (
 	"fmt"
 
-	"repro/internal/ixp"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/xen"
 )
 
-// Model reports an island's current power draw in watts. Sample is called
-// periodically by the Budgeter; implementations may keep state between
-// calls (e.g. utilization deltas).
-type Model interface {
-	Name() string
-	Sample(now sim.Time) float64
-}
-
-// MeterModel adapts an externally metered power reading (the energy
-// subsystem's integrating meter) into a Model: cap enforcement then reads
-// the same modeled watts the energy ledgers integrate, instead of keeping
-// a second sampling path that could disagree with the joules report. The
-// closure keeps this package free of an energy dependency.
-type MeterModel struct {
-	name  string
-	watts func() float64
-}
-
-// NewMeterModel wraps a watts reading (typically energy.Meter.Watts bound
-// to one island) as a Model.
-func NewMeterModel(name string, watts func() float64) *MeterModel {
-	return &MeterModel{name: name, watts: watts}
-}
-
-// Name implements Model.
-func (m *MeterModel) Name() string { return m.name }
-
-// Sample implements Model by reading the metered watts; the meter keeps
-// the utilization state, so this model is stateless.
-func (m *MeterModel) Sample(now sim.Time) float64 { return m.watts() }
-
-// X86Model converts the Xen island's CPU utilization into power: an idle
-// floor plus a dynamic term linear in the utilization of the host's cores
-// (the usual server power proxy).
-type X86Model struct {
-	hv *xen.Hypervisor
-	// IdleWatts is drawn at zero utilization, BusyWatts at full utilization
-	// of every core. Defaults approximate the dual-core Xeon host: 60W idle
-	// to 140W flat out.
-	IdleWatts, BusyWatts float64
-
-	lastAt   sim.Time
-	lastBusy sim.Time
-}
-
-// NewX86Model returns a model for hv with the default envelope.
-func NewX86Model(hv *xen.Hypervisor) *X86Model {
-	return &X86Model{hv: hv, IdleWatts: 60, BusyWatts: 140}
-}
-
-// Name implements Model.
-func (m *X86Model) Name() string { return "x86" }
-
-// Sample implements Model: utilization is measured over the interval since
-// the previous call.
-func (m *X86Model) Sample(now sim.Time) float64 {
-	var busy sim.Time
-	for _, d := range m.hv.Domains() {
-		m.hv.TotalUtilization(0, d) // fold in-progress runs into the meter
-		busy += d.Meter().Busy()
-	}
-	window := now - m.lastAt
-	if window <= 0 {
-		return m.IdleWatts
-	}
-	delta := busy - m.lastBusy
-	m.lastAt, m.lastBusy = now, busy
-	util := float64(delta) / float64(window) / float64(len(m.hv.PCPUs()))
-	if util > 1 {
-		util = 1
-	}
-	return m.IdleWatts + (m.BusyWatts-m.IdleWatts)*util
-}
-
-// IXPModel converts the IXP island's thread allocation into power: network
-// processors burn roughly constant power per active hardware thread on top
-// of a fixed floor.
-type IXPModel struct {
-	x *ixp.IXP
-	// IdleWatts is the floor; WattsPerThread is added per allocated dequeue
-	// thread. Defaults approximate the IXP2850's ~25W envelope.
-	IdleWatts, WattsPerThread float64
-}
-
-// NewIXPModel returns a model for x with the default envelope.
-func NewIXPModel(x *ixp.IXP) *IXPModel {
-	return &IXPModel{x: x, IdleWatts: 18, WattsPerThread: 0.4}
-}
-
-// Name implements Model.
-func (m *IXPModel) Name() string { return "ixp" }
-
-// Sample implements Model.
-func (m *IXPModel) Sample(now sim.Time) float64 {
-	return m.IdleWatts + m.WattsPerThread*float64(m.x.ThreadsAllocated())
+// Reading is one island's power draw in watts, read from the energy
+// subsystem's integrating meter: cap enforcement then sees the same
+// modeled watts the energy ledgers integrate, with no second sampling path
+// that could disagree with the joules report. The closure keeps this
+// package free of an energy dependency.
+type Reading struct {
+	Name  string
+	Watts func() float64
 }
 
 // CapActuator applies power Tunes on the Xen island: the Tune value is a
@@ -178,13 +89,13 @@ func (a *CapActuator) domain(entity int) (*xen.Domain, error) {
 // ctlDomains exposes the hypervisor's domains through the control surface.
 func (a *CapActuator) ctlDomains() []*xen.Domain { return a.ctl.Domains() }
 
-// total sums model samples.
-func total(models []Model, now sim.Time) (float64, map[string]float64) {
+// total sums the readings.
+func total(readings []Reading) (float64, map[string]float64) {
 	sum := 0.0
-	per := make(map[string]float64, len(models))
-	for _, m := range models {
-		w := m.Sample(now)
-		per[m.Name()] = w
+	per := make(map[string]float64, len(readings))
+	for _, r := range readings {
+		w := r.Watts()
+		per[r.Name] = w
 		sum += w
 	}
 	return sum, per
@@ -196,13 +107,13 @@ type Series struct {
 	PerIsland map[string]*stats.TimeSeries
 }
 
-func newSeries(models []Model) *Series {
+func newSeries(readings []Reading) *Series {
 	s := &Series{
 		Total:     stats.NewTimeSeries("power-total"),
-		PerIsland: make(map[string]*stats.TimeSeries, len(models)),
+		PerIsland: make(map[string]*stats.TimeSeries, len(readings)),
 	}
-	for _, m := range models {
-		s.PerIsland[m.Name()] = stats.NewTimeSeries("power-" + m.Name())
+	for _, r := range readings {
+		s.PerIsland[r.Name] = stats.NewTimeSeries("power-" + r.Name)
 	}
 	return s
 }

@@ -1,7 +1,6 @@
 package power
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -9,9 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// saturated builds a platform with two CPU-hog guests.
+// saturated builds a platform with two CPU-hog guests, metered the way
+// the power-cap experiment meters it: the energy subsystem with its
+// governor off.
 func saturated(seed int64) (*platform.Platform, func()) {
-	p := platform.New(platform.Config{Seed: seed})
+	p := platform.New(platform.Config{Seed: seed, Energy: &platform.EnergyConfig{Governor: "off"}})
 	a := p.AddGuest("hog-a", 256)
 	b := p.AddGuest("hog-b", 256)
 	churn := func(d interface {
@@ -28,42 +29,9 @@ func saturated(seed int64) (*platform.Platform, func()) {
 	return p, start
 }
 
-func TestX86ModelTracksUtilization(t *testing.T) {
-	p, start := saturated(1)
-	m := NewX86Model(p.HV)
-	// Idle platform draws the floor.
-	p.Sim.RunUntil(1 * sim.Second)
-	if got := m.Sample(p.Sim.Now()); math.Abs(got-m.IdleWatts) > 2 {
-		t.Fatalf("idle power = %.1fW, want ~%.0f", got, m.IdleWatts)
-	}
-	start()
-	p.Sim.RunUntil(5 * sim.Second)
-	if got := m.Sample(p.Sim.Now()); math.Abs(got-m.BusyWatts) > 5 {
-		t.Fatalf("saturated power = %.1fW, want ~%.0f", got, m.BusyWatts)
-	}
-	if m.Name() != "x86" {
-		t.Fatal("name wrong")
-	}
-}
-
-func TestIXPModelTracksThreads(t *testing.T) {
-	p, _ := saturated(2)
-	m := NewIXPModel(p.IXP)
-	base := m.Sample(p.Sim.Now())
-	if err := p.IXP.SetFlowThreads(1, 10); err != nil {
-		t.Fatal(err)
-	}
-	after := m.Sample(p.Sim.Now())
-	if after <= base {
-		t.Fatalf("power did not rise with threads: %.2f -> %.2f", base, after)
-	}
-	wantDelta := m.WattsPerThread * 8 // 2 -> 10 threads
-	if math.Abs((after-base)-wantDelta) > 1e-9 {
-		t.Fatalf("delta = %.2fW, want %.2f", after-base, wantDelta)
-	}
-	if m.Name() != "ixp" {
-		t.Fatal("name wrong")
-	}
+// reading is the metered watts of one island of p.
+func reading(p *platform.Platform, island string) Reading {
+	return Reading{Name: island, Watts: func() float64 { return p.EnergyMeter.Watts(island) }}
 }
 
 func TestCapActuator(t *testing.T) {
@@ -125,11 +93,9 @@ func TestBudgeterEnforcesCap(t *testing.T) {
 	powerIsland(p)
 	start()
 
-	x86m := NewX86Model(p.HV)
-	ixpm := NewIXPModel(p.IXP)
 	// Cap below the saturated draw (~140 + ~19) so throttling must engage.
 	budget := NewBudgeter(p.Sim, BudgeterConfig{CapWatts: 120}, p.X86Agent, p.HV,
-		[]Model{x86m, ixpm},
+		[]Reading{reading(p, platform.X86Island), reading(p, platform.IXPIsland)},
 		[]Target{
 			{Island: "x86-power", Entity: p.Guests()[0].ID(), Step: 10},
 			{Island: "x86-power", Entity: p.Guests()[1].ID(), Step: 10},
@@ -180,7 +146,7 @@ func TestBudgeterRestoresWhenLoadDrops(t *testing.T) {
 	powerIsland(p)
 	start()
 	budget := NewBudgeter(p.Sim, BudgeterConfig{CapWatts: 110, Headroom: 10}, p.X86Agent, p.HV,
-		[]Model{NewX86Model(p.HV)},
+		[]Reading{reading(p, platform.X86Island)},
 		[]Target{
 			{Island: "x86-power", Entity: p.Guests()[0].ID(), Step: 10},
 			{Island: "x86-power", Entity: p.Guests()[1].ID(), Step: 10},
@@ -205,7 +171,7 @@ func TestBudgeterRestoresWhenLoadDrops(t *testing.T) {
 	p2, _ := saturated(6)
 	powerIsland(p2)
 	b2 := NewBudgeter(p2.Sim, BudgeterConfig{CapWatts: 200, Headroom: 5}, p2.X86Agent, p2.HV,
-		[]Model{NewX86Model(p2.HV)},
+		[]Reading{reading(p2, platform.X86Island)},
 		[]Target{{Island: "x86-power", Entity: p2.Guests()[0].ID(), Step: 10}})
 	// Pre-throttle manually, then let the idle platform restore it.
 	act := NewCapActuator(p2.Ctl)
@@ -223,13 +189,13 @@ func TestBudgeterRestoresWhenLoadDrops(t *testing.T) {
 func TestBudgeterValidation(t *testing.T) {
 	p, _ := saturated(7)
 	agent := p.X86Agent
-	models := []Model{NewX86Model(p.HV)}
+	readings := []Reading{reading(p, platform.X86Island)}
 	targets := []Target{{Island: "x86", Entity: 1, Step: 10}}
 	for _, fn := range []func(){
-		func() { NewBudgeter(p.Sim, BudgeterConfig{}, agent, p.HV, models, targets) },
-		func() { NewBudgeter(p.Sim, BudgeterConfig{CapWatts: 100}, nil, p.HV, models, targets) },
+		func() { NewBudgeter(p.Sim, BudgeterConfig{}, agent, p.HV, readings, targets) },
+		func() { NewBudgeter(p.Sim, BudgeterConfig{CapWatts: 100}, nil, p.HV, readings, targets) },
 		func() { NewBudgeter(p.Sim, BudgeterConfig{CapWatts: 100}, agent, p.HV, nil, targets) },
-		func() { NewBudgeter(p.Sim, BudgeterConfig{CapWatts: 100}, agent, p.HV, models, nil) },
+		func() { NewBudgeter(p.Sim, BudgeterConfig{CapWatts: 100}, agent, p.HV, readings, nil) },
 	} {
 		func() {
 			defer func() {

@@ -6,6 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
+// shedBackoff is the mean pause a session takes after a shed (error)
+// response before its next request — Retry-After semantics. Without it
+// fast shed responses make rejected sessions spin, inflating offered load
+// past what admission control saved.
+const shedBackoff = 2 * sim.Second
+
 // ClientConfig shapes the emulated RUBiS client (deployed on a separate
 // host in the prototype; here it injects packets directly at the IXP wire).
 type ClientConfig struct {
@@ -16,14 +22,8 @@ type ClientConfig struct {
 	WebVM              int      // destination VM for request traffic
 	Warmup             sim.Time // responses before this time are not recorded
 
-	// ShedBackoff is the mean pause a session takes after a shed (error)
-	// response before its next request — Retry-After semantics. Without it
-	// fast shed responses make rejected sessions spin, inflating offered
-	// load past what admission control saved (default 2s).
-	ShedBackoff sim.Time
-
 	// Timeout, when positive, makes sessions abandon a page that has not
-	// answered by then and move on (after a ShedBackoff pause). The server
+	// answered by then and move on (after a shedBackoff pause). The server
 	// keeps working on the abandoned request — the wasted work that makes
 	// uncontrolled overload collapse goodput, and the reason admission
 	// control sheds early instead. A late response to an abandoned page is
@@ -74,9 +74,6 @@ func (c *ClientConfig) applyDefaults() {
 	}
 	if c.PhaseThinkFactor == 0 {
 		c.PhaseThinkFactor = 0.4
-	}
-	if c.ShedBackoff == 0 {
-		c.ShedBackoff = 2 * sim.Second
 	}
 }
 
@@ -249,7 +246,7 @@ func (c *Client) onResponse(p *netsim.Packet) {
 }
 
 // advance moves the session to its next page (or replaces a completed
-// session). backoff selects the ShedBackoff pause instead of normal think
+// session). backoff selects the shedBackoff pause instead of normal think
 // time — used after sheds and abandonments.
 func (c *Client) advance(s *session, backoff bool) {
 	s.seq++
@@ -264,7 +261,7 @@ func (c *Client) advance(s *session, backoff bool) {
 	s.current = c.cfg.Mix.NextBiased(c.rng, s.current, c.cfg.writeBias(c.sim.Now()))
 	mean := c.cfg.thinkMean(c.sim.Now())
 	if backoff {
-		mean = c.cfg.ShedBackoff
+		mean = shedBackoff
 	}
 	think := c.rng.ExpTime(mean)
 	c.sim.After(think, func() {

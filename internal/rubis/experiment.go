@@ -139,6 +139,9 @@ type TraceDriver struct {
 	Timeout sim.Time
 }
 
+// guestWeight is the initial credit weight of each tier VM.
+const guestWeight = 256
+
 // ExperimentConfig describes one RUBiS run on the two-island testbed.
 type ExperimentConfig struct {
 	Platform platform.Config
@@ -164,17 +167,6 @@ type ExperimentConfig struct {
 	// SchemeClass is the simple fixed-delta read/write rule. The latter two
 	// exist for the policy ablation.
 	Scheme Scheme
-	// TuneStep is the weight delta per classified request for the class
-	// scheme (default 64).
-	TuneStep int
-	// LoadScale converts profiled demand ms into tune units for the
-	// load-tracking scheme (default 1.0).
-	LoadScale float64
-	// LoadTau is the decay time constant of the load-tracking translation
-	// (default 1s).
-	LoadTau sim.Time
-	// GuestWeight is the initial weight of each tier VM (default 256).
-	GuestWeight int
 
 	Warmup   sim.Time // measurement starts here (default 10s)
 	Duration sim.Time // total run length including warmup (default 70s)
@@ -198,17 +190,8 @@ func DefaultExperimentClient() ClientConfig {
 }
 
 func (c *ExperimentConfig) applyDefaults() {
-	if c.GuestWeight == 0 {
-		c.GuestWeight = 256
-	}
 	if c.Client == (ClientConfig{}) {
 		c.Client = DefaultExperimentClient()
-	}
-	if c.LoadScale == 0 {
-		c.LoadScale = 1
-	}
-	if c.LoadTau == 0 {
-		c.LoadTau = sim.Second
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 10 * sim.Second
@@ -311,13 +294,13 @@ func RunExperiment(cfg ExperimentConfig) *Result {
 		// In the outstanding-load translation the weight floor is the base
 		// allocation; Tunes add transient priority on top of it, so an
 		// unloaded tier never drops below its uncoordinated share.
-		cfg.Platform.MinGuestWeight = cfg.GuestWeight
+		cfg.Platform.MinGuestWeight = guestWeight
 		cfg.Platform.MaxGuestWeight = 2048
 	}
 	p := platform.New(cfg.Platform)
-	web := p.AddGuest("WebServer", cfg.GuestWeight)
-	app := p.AddGuest("AppServer", cfg.GuestWeight)
-	db := p.AddGuest("DBServer", cfg.GuestWeight)
+	web := p.AddGuest("WebServer", guestWeight)
+	app := p.AddGuest("AppServer", guestWeight)
+	db := p.AddGuest("DBServer", guestWeight)
 
 	cfg.Server.Flight = cfg.Platform.Flight
 	srv := NewServer(p.Sim, cfg.Server, web, app, db, p.Host)
@@ -432,7 +415,7 @@ func RunExperiment(cfg ExperimentConfig) *Result {
 		}
 		switch cfg.Scheme {
 		case SchemeClass:
-			policy := core.NewRequestClassPolicy(p.IXPAgent, platform.X86Island, tiers, cfg.TuneStep)
+			policy := core.NewRequestClassPolicy(p.IXPAgent, platform.X86Island, tiers, 0)
 			p.IXP.AddDPI(func(pkt *netsim.Packet) {
 				req, ok := pkt.Payload.(*Request)
 				if !ok || pkt.SrcVM != -1 {
@@ -441,9 +424,9 @@ func RunExperiment(cfg ExperimentConfig) *Result {
 				policy.OnRequest(catalog[req.Type].Kind)
 			})
 		case SchemeLoadTrack:
-			p.X86Act.EnableLoadTracking(p.Sim, cfg.LoadTau, 100*sim.Millisecond)
+			// The load-tracking translation decays with a 1s time constant.
+			p.X86Act.EnableLoadTracking(p.Sim, sim.Second, 100*sim.Millisecond)
 			policy := core.NewLoadTrackPolicy(p.IXPAgent, platform.X86Island, tiers)
-			policy.Scale = cfg.LoadScale
 			p.IXP.AddDPI(func(pkt *netsim.Packet) {
 				if pkt.SrcVM != -1 {
 					return
@@ -457,7 +440,6 @@ func RunExperiment(cfg ExperimentConfig) *Result {
 			// (e.g. responses whose requests predate coordination start).
 			p.X86Act.EnableLoadTracking(p.Sim, 20*sim.Second, 250*sim.Millisecond)
 			policy := core.NewOutstandingLoadPolicy(p.IXPAgent, platform.X86Island, tiers)
-			policy.Scale = cfg.LoadScale
 			p.IXP.AddDPI(func(pkt *netsim.Packet) {
 				if pkt.SrcVM != -1 {
 					return

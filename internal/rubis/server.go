@@ -70,15 +70,15 @@ func (c *OverloadConfig) applyDefaults() {
 	}
 }
 
+// demandNoise is the coefficient of variation applied to per-tier service
+// demands.
+const demandNoise = 0.2
+
+// bridgeCost is the Dom0 CPU charged per inter-VM hop over the Xen bridge.
+const bridgeCost = 150 * sim.Microsecond
+
 // ServerConfig tunes the server-side deployment.
 type ServerConfig struct {
-	// Noise is the coefficient of variation applied to per-tier service
-	// demands (default 0.2; 0 disables variability).
-	Noise float64
-	// BridgeCost is the Dom0 CPU charged per inter-VM hop over the Xen
-	// bridge (default 150us).
-	BridgeCost sim.Time
-
 	// Worker-pool sizes. The tiers are synchronous, as in the real stack:
 	// an Apache worker is held for a request's whole lifetime, a Tomcat
 	// worker while the servlet (and any database call) runs, a MySQL
@@ -102,12 +102,6 @@ type ServerConfig struct {
 }
 
 func (c *ServerConfig) applyDefaults() {
-	if c.Noise == 0 {
-		c.Noise = 0.2
-	}
-	if c.BridgeCost == 0 {
-		c.BridgeCost = 150 * sim.Microsecond
-	}
 	if c.WebWorkers == 0 {
 		c.WebWorkers = 128
 	}
@@ -239,10 +233,7 @@ func (s *Server) demand(mean sim.Time) sim.Time {
 	if mean <= 0 {
 		return 0
 	}
-	if s.cfg.Noise <= 0 {
-		return mean
-	}
-	sd := mean.Scale(s.cfg.Noise)
+	sd := mean.Scale(demandNoise)
 	min := mean.Scale(0.2)
 	return s.rng.TruncNormalTime(mean, sd, min)
 }
@@ -373,5 +364,5 @@ func (s *Server) shedResponse(pktID uint64, req *Request) {
 // bridgeHop charges Dom0 for relaying an inter-VM message over the Xen
 // bridge, then continues the pipeline.
 func (s *Server) bridgeHop(next func()) {
-	s.host.Dom0().SubmitFunc(s.cfg.BridgeCost, "bridge", next)
+	s.host.Dom0().SubmitFunc(bridgeCost, "bridge", next)
 }

@@ -88,7 +88,7 @@ type VCPU struct {
 	queuedSeq uint64 // FIFO ordering within a priority class
 
 	// freqResidue carries the remainder of the DVFS progress division
-	// (units of MHz*ns, always < maxMHz) so scaled task retirement stays
+	// (units of MHz*ns, always < MaxFreqMHz) so scaled task retirement stays
 	// exact across charge boundaries. Zero whenever the island runs at its
 	// top frequency.
 	freqResidue int64

@@ -7,39 +7,34 @@ import (
 	"repro/internal/stats"
 )
 
+// Credit1 scheduler constants: Xen's 30ms quantum, 10ms credit-burn tick
+// and 30ms credit re-allotment period. A woken VCPU may run at BOOST for
+// one tick before demotion.
+const (
+	timeslice   = 30 * sim.Millisecond
+	tickPeriod  = 10 * sim.Millisecond
+	acctPeriod  = 30 * sim.Millisecond
+	boostWindow = 10 * sim.Millisecond
+)
+
+// MaxFreqMHz is the top DVFS operating frequency of the paper's 2.66 GHz
+// Xeon host — the state the island boots in and the anchor for the
+// dynamic-power scaling of derived operating points.
+const MaxFreqMHz = 2666
+
 // Options configures the hypervisor. Zero fields take the defaults matching
-// Xen's credit1 scheduler and the paper's dual-core 2.66 GHz Xeon host.
+// the paper's dual-core host.
 type Options struct {
 	NumPCPUs     int      // physical CPUs (default 2)
-	Timeslice    sim.Time // scheduling quantum (default 30ms)
-	TickPeriod   sim.Time // credit-burn tick (default 10ms)
-	AcctPeriod   sim.Time // credit re-allotment period (default 30ms)
 	SamplePeriod sim.Time // utilization sampling period (default 1s; 0 disables)
-	BoostWindow  sim.Time // how long a VCPU may run at BOOST before demotion (default one tick)
-	MaxFreqMHz   int      // top DVFS operating frequency (default 2666, the 2.66 GHz Xeon)
 }
 
 func (o *Options) applyDefaults() {
 	if o.NumPCPUs == 0 {
 		o.NumPCPUs = 2
 	}
-	if o.Timeslice == 0 {
-		o.Timeslice = 30 * sim.Millisecond
-	}
-	if o.TickPeriod == 0 {
-		o.TickPeriod = 10 * sim.Millisecond
-	}
-	if o.AcctPeriod == 0 {
-		o.AcctPeriod = 30 * sim.Millisecond
-	}
 	if o.SamplePeriod == 0 {
 		o.SamplePeriod = sim.Second
-	}
-	if o.BoostWindow == 0 {
-		o.BoostWindow = 10 * sim.Millisecond
-	}
-	if o.MaxFreqMHz == 0 {
-		o.MaxFreqMHz = 2666
 	}
 }
 
@@ -68,15 +63,14 @@ type Hypervisor struct {
 	seq     uint64
 	started bool
 
-	// DVFS: freqMHz/maxMHz form the island-wide operating point as an exact
-	// integer rational. Task progress retires at ran*freq/max (per-VCPU
-	// residues keep the division exact across charge boundaries) while
-	// credits and utilization always burn wall-clock time; at
-	// freqMHz == maxMHz the arithmetic reduces to the unscaled identity
+	// DVFS: freqMHz/MaxFreqMHz form the island-wide operating point as an
+	// exact integer rational. Task progress retires at ran*freq/max
+	// (per-VCPU residues keep the division exact across charge boundaries)
+	// while credits and utilization always burn wall-clock time; at
+	// freqMHz == MaxFreqMHz the arithmetic reduces to the unscaled identity
 	// byte-for-byte.
 	//lint:decision
 	freqMHz int64
-	maxMHz  int64
 
 	stopFns []func()
 
@@ -88,8 +82,7 @@ type Hypervisor struct {
 // the initial domains.
 func New(s *sim.Simulator, opts Options) *Hypervisor {
 	opts.applyDefaults()
-	hv := &Hypervisor{sim: s, opts: opts,
-		freqMHz: int64(opts.MaxFreqMHz), maxMHz: int64(opts.MaxFreqMHz)}
+	hv := &Hypervisor{sim: s, opts: opts, freqMHz: MaxFreqMHz}
 	for i := 0; i < opts.NumPCPUs; i++ {
 		hv.pcpus = append(hv.pcpus, &PCPU{id: i})
 	}
@@ -158,8 +151,8 @@ func (hv *Hypervisor) Start() {
 	}
 	hv.started = true
 	hv.stopFns = append(hv.stopFns,
-		hv.sim.Ticker(hv.opts.TickPeriod, hv.tick),
-		hv.sim.Ticker(hv.opts.AcctPeriod, hv.account),
+		hv.sim.Ticker(tickPeriod, hv.tick),
+		hv.sim.Ticker(acctPeriod, hv.account),
 	)
 	if hv.opts.SamplePeriod > 0 {
 		hv.stopFns = append(hv.stopFns, hv.sim.Ticker(hv.opts.SamplePeriod, func() {
@@ -211,12 +204,12 @@ func (hv *Hypervisor) chargeRun(v *VCPU, now sim.Time) {
 	}
 	if v.current != nil {
 		progress := ran
-		if hv.freqMHz != hv.maxMHz {
+		if hv.freqMHz != MaxFreqMHz {
 			// Scaled retirement: carry the division remainder in the VCPU's
 			// residue so progress is exact across charge boundaries.
 			num := int64(ran)*hv.freqMHz + v.freqResidue
-			progress = sim.Time(num / hv.maxMHz)
-			v.freqResidue = num % hv.maxMHz
+			progress = sim.Time(num / MaxFreqMHz)
+			v.freqResidue = num % MaxFreqMHz
 		}
 		v.current.remaining -= progress
 		if v.current.remaining < 0 {
@@ -233,10 +226,10 @@ func (hv *Hypervisor) runProgress(v *VCPU, now sim.Time) sim.Time {
 	if ran <= 0 {
 		return 0
 	}
-	if hv.freqMHz == hv.maxMHz {
+	if hv.freqMHz == MaxFreqMHz {
 		return ran
 	}
-	return sim.Time((int64(ran)*hv.freqMHz + v.freqResidue) / hv.maxMHz)
+	return sim.Time((int64(ran)*hv.freqMHz + v.freqResidue) / MaxFreqMHz)
 }
 
 // wallFor returns the wall-clock time v needs on a PCPU to retire its
@@ -244,10 +237,10 @@ func (hv *Hypervisor) runProgress(v *VCPU, now sim.Time) sim.Time {
 // smallest interval whose scaled progress covers the remainder.
 func (hv *Hypervisor) wallFor(v *VCPU) sim.Time {
 	rem := v.current.remaining
-	if hv.freqMHz == hv.maxMHz {
+	if hv.freqMHz == MaxFreqMHz {
 		return rem
 	}
-	num := int64(rem)*hv.maxMHz - v.freqResidue
+	num := int64(rem)*MaxFreqMHz - v.freqResidue
 	if num <= 0 {
 		return 1
 	}
@@ -257,17 +250,14 @@ func (hv *Hypervisor) wallFor(v *VCPU) sim.Time {
 // FrequencyMHz returns the island's current operating frequency.
 func (hv *Hypervisor) FrequencyMHz() int { return int(hv.freqMHz) }
 
-// MaxFrequencyMHz returns the island's top operating frequency.
-func (hv *Hypervisor) MaxFrequencyMHz() int { return int(hv.maxMHz) }
-
 // setFrequency commits a new island-wide operating frequency: every
 // in-progress run interval is charged at the old frequency first, then the
 // running VCPUs' slice events are re-armed at the new retirement rate.
 // Actuate through Ctl.SetFrequencyMHz, which taps the transition into the
 // flight recorder.
 func (hv *Hypervisor) setFrequency(mhz int) error {
-	if mhz <= 0 || int64(mhz) > hv.maxMHz {
-		return fmt.Errorf("xen: frequency %d MHz outside (0, %d]", mhz, hv.maxMHz)
+	if mhz <= 0 || int64(mhz) > MaxFreqMHz {
+		return fmt.Errorf("xen: frequency %d MHz outside (0, %d]", mhz, MaxFreqMHz)
 	}
 	if int64(mhz) == hv.freqMHz {
 		return nil
@@ -377,7 +367,7 @@ func (hv *Hypervisor) startRun(p *PCPU, v *VCPU) {
 
 // armSliceEvent schedules the earlier of task completion and slice expiry.
 func (hv *Hypervisor) armSliceEvent(p *PCPU, v *VCPU) {
-	runFor := hv.opts.Timeslice
+	runFor := timeslice
 	if need := hv.wallFor(v); need < runFor {
 		runFor = need
 	}
@@ -454,7 +444,7 @@ func (hv *Hypervisor) blockCurrent(p *PCPU) {
 // refreshPriority recomputes a non-boosted VCPU's class from its credit
 // balance, and demotes BOOST VCPUs that have used their boost window.
 func (hv *Hypervisor) refreshPriority(v *VCPU) {
-	if v.prio == PrioBoost && v.boostRan < hv.opts.BoostWindow {
+	if v.prio == PrioBoost && v.boostRan < boostWindow {
 		return // still within its boost window
 	}
 	v.boostRan = 0
@@ -617,14 +607,14 @@ func (hv *Hypervisor) account() {
 			totalWeight += d.weight
 		}
 	}
-	budget := hv.opts.AcctPeriod * sim.Time(hv.opts.NumPCPUs)
-	clamp := hv.opts.AcctPeriod
+	budget := acctPeriod * sim.Time(hv.opts.NumPCPUs)
+	clamp := acctPeriod
 
 	for _, d := range hv.domains {
 		if d.active && totalWeight > 0 {
 			share := sim.Time(float64(budget) * float64(d.weight) / float64(totalWeight))
 			if d.cap > 0 {
-				capShare := hv.opts.AcctPeriod * sim.Time(d.cap) / 100
+				capShare := acctPeriod * sim.Time(d.cap) / 100
 				if share > capShare {
 					share = capShare
 				}
@@ -645,7 +635,7 @@ func (hv *Hypervisor) account() {
 		// down at cap-rate while parked, so the long-run average honors the
 		// cap even though parking granularity is one accounting period.
 		if d.cap > 0 {
-			capTime := hv.opts.AcctPeriod * sim.Time(d.cap) / 100
+			capTime := acctPeriod * sim.Time(d.cap) / 100
 			d.capDebt += d.usedInAcct - capTime
 			if d.capDebt < 0 {
 				d.capDebt = 0

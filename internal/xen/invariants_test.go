@@ -100,7 +100,7 @@ func TestCreditsBoundedRandomized(t *testing.T) {
 			saturate(s, d, sim.Time(rng.Intn(10)+1)*sim.Millisecond)
 		}
 		ok := true
-		clamp := hv.Options().AcctPeriod + hv.Options().Timeslice // slack for in-slice burn
+		clamp := acctPeriod + timeslice // slack for in-slice burn
 		s.Ticker(10*sim.Millisecond, func() {
 			for _, d := range doms {
 				for _, v := range d.VCPUs() {

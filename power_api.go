@@ -103,9 +103,9 @@ func RunPowerCap(cfg PowerCapConfig) *PowerCapRun {
 		meter := p.EnergyMeter
 		b := power.NewBudgeter(p.Sim, power.BudgeterConfig{CapWatts: cfg.CapWatts},
 			p.X86Agent, p.HV,
-			[]power.Model{
-				power.NewMeterModel("x86", func() float64 { return meter.Watts(platform.X86Island) }),
-				power.NewMeterModel("ixp", func() float64 { return meter.Watts(platform.IXPIsland) }),
+			[]power.Reading{
+				{Name: "x86", Watts: func() float64 { return meter.Watts(platform.X86Island) }},
+				{Name: "ixp", Watts: func() float64 { return meter.Watts(platform.IXPIsland) }},
 			},
 			targets)
 		b.Start()

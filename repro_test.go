@@ -5,6 +5,7 @@ package repro
 // full-length numbers.
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -293,4 +294,18 @@ func TestRubisCoordinationTolerantToMessageLoss(t *testing.T) {
 	if coord.TunesApplied >= coord.TunesSent {
 		t.Errorf("loss injection inactive: %d sent, %d applied", coord.TunesSent, coord.TunesApplied)
 	}
+}
+
+// TestRubisRejectsLossRateWithFaults: CoordLossRate is shorthand for a
+// fault plan with only LossRate set, so setting it together with Faults
+// contradicts itself and must panic with a diagnosable message instead of
+// silently dropping one of the two.
+func TestRubisRejectsLossRateWithFaults(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "repro: ") || !strings.Contains(msg, "CoordLossRate") {
+			t.Errorf("RunRubis panicked with %q, want a repro message naming CoordLossRate", msg)
+		}
+	}()
+	RunRubis(RubisConfig{CoordLossRate: 0.1, Faults: &FaultPlan{LossRate: 0.2}}, true)
 }

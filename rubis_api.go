@@ -9,8 +9,10 @@ import (
 	"repro/internal/flight"
 	"repro/internal/ixp"
 	"repro/internal/overload"
+	"repro/internal/pcie"
 	"repro/internal/platform"
 	"repro/internal/rubis"
+	"repro/internal/xen"
 )
 
 // RubisConfig shapes a RUBiS experiment run (Figures 2, 4, 5 and Tables 1,
@@ -39,8 +41,8 @@ type RubisConfig struct {
 	IntrModeration time.Duration
 
 	// CoordLossRate injects coordination-message loss on the PCIe mailbox
-	// (fault injection; 0 = lossless). Legacy shorthand for a Faults plan
-	// with only LossRate set; ignored when Faults is non-nil.
+	// (fault injection; 0 = lossless). Shorthand for a Faults plan with
+	// only LossRate set; setting both is an error.
 	CoordLossRate float64
 
 	// Faults arms the full deterministic fault-injection harness on the
@@ -346,8 +348,13 @@ func (c RubisConfig) internal(coordinated bool) rubis.ExperimentConfig {
 	if c.IntrModeration > 0 {
 		ec.Platform.HostNet.IntrPeriod = toSim(c.IntrModeration)
 	}
-	ec.Platform.CoordLossRate = c.CoordLossRate
 	ec.Platform.CoordFaults = c.Faults.internal()
+	if c.CoordLossRate > 0 {
+		if c.Faults != nil {
+			panic(fmt.Sprintf("repro: CoordLossRate %g set together with Faults; put the loss in the plan's LossRate", c.CoordLossRate))
+		}
+		ec.Platform.CoordFaults = &pcie.FaultPlan{Seed: c.Seed, LossRate: c.CoordLossRate}
+	}
 	if c.Robust || c.Failover != nil {
 		ec.Platform.Reliable = true
 		hb := 250 * time.Millisecond
@@ -465,13 +472,13 @@ func (e *EnergyControl) internal() (*platform.EnergyConfig, error) {
 	if len(e.X86Points) > 0 {
 		pts := make([]energy.OperatingPoint, 0, len(e.X86Points))
 		for _, dp := range e.X86Points {
-			if dp.MHz <= 0 || dp.MHz > energy.DefaultX86MaxMHz {
-				return nil, fmt.Errorf("energy: x86 point %d MHz outside (0, %d]", dp.MHz, energy.DefaultX86MaxMHz)
+			if dp.MHz <= 0 || dp.MHz > xen.MaxFreqMHz {
+				return nil, fmt.Errorf("energy: x86 point %d MHz outside (0, %d]", dp.MHz, xen.MaxFreqMHz)
 			}
 			if dp.Voltage <= 0 || dp.Voltage > 1 {
 				return nil, fmt.Errorf("energy: x86 point %d MHz voltage %v outside (0, 1]", dp.MHz, dp.Voltage)
 			}
-			pts = append(pts, energy.X86Point(dp.MHz, energy.DefaultX86MaxMHz, dp.Voltage))
+			pts = append(pts, energy.X86Point(dp.MHz, dp.Voltage))
 		}
 		if err := energy.ValidateTable("x86", pts); err != nil {
 			return nil, err

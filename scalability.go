@@ -9,6 +9,13 @@ import (
 	"repro/internal/sweep"
 )
 
+// Scalability transport costs: every hop takes the PCIe mailbox's 150us,
+// and the central controller spends 50us routing each message.
+const (
+	scaleHop     = 150 * sim.Microsecond
+	scaleHubCost = 50 * sim.Microsecond
+)
+
 // ScalabilityConfig parameterizes the coordination-mechanism scalability
 // study — the paper's ongoing work (§5): how do the Tune/Trigger mechanisms
 // behave as platforms grow to many islands, and when does distributing
@@ -18,8 +25,6 @@ type ScalabilityConfig struct {
 	Islands       []int         // island counts to sweep (default 2..64 doubling)
 	RatePerIsland float64       // coordination messages/s per island (default 200)
 	Duration      time.Duration // simulated time per point (default 10s)
-	HopLatency    time.Duration // per-hop transport latency (default 150us, the PCIe mailbox)
-	HubCost       time.Duration // controller's per-message routing cost (default 50us)
 
 	// Workers is the parallel trial pool size; <= 0 uses GOMAXPROCS. Every
 	// (topology, islands) point is an independent simulation, so results
@@ -44,12 +49,6 @@ func (c *ScalabilityConfig) applyDefaults() {
 	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Second
-	}
-	if c.HopLatency == 0 {
-		c.HopLatency = 150 * time.Microsecond
-	}
-	if c.HubCost == 0 {
-		c.HubCost = 50 * time.Microsecond
 	}
 	if c.Reps <= 0 {
 		c.Reps = 1
@@ -90,8 +89,6 @@ func RunCoordScalability(cfg ScalabilityConfig) []ScalabilityPoint {
 		Islands       int     `json:"islands"`
 		RatePerIsland float64 `json:"rate_per_island"`
 		DurationNs    int64   `json:"duration_ns"`
-		HopNs         int64   `json:"hop_ns"`
-		HubNs         int64   `json:"hub_ns"`
 	}
 	var points []sweep.Point
 	for _, n := range cfg.Islands {
@@ -103,8 +100,6 @@ func RunCoordScalability(cfg ScalabilityConfig) []ScalabilityPoint {
 					Islands:       n,
 					RatePerIsland: cfg.RatePerIsland,
 					DurationNs:    int64(cfg.Duration),
-					HopNs:         int64(cfg.HopLatency),
-					HubNs:         int64(cfg.HubCost),
 				},
 			})
 		}
@@ -164,8 +159,6 @@ func aggregateScalability(reps []ScalabilityPoint) ScalabilityPoint {
 
 func runScalabilityPoint(cfg ScalabilityConfig, islands int, topo string) ScalabilityPoint {
 	s := sim.New(cfg.Seed)
-	hop := toSim(cfg.HopLatency)
-	hubCost := toSim(cfg.HubCost)
 	duration := toSim(cfg.Duration)
 
 	var lat stats.Sample
@@ -178,16 +171,16 @@ func runScalabilityPoint(cfg ScalabilityConfig, islands int, topo string) Scalab
 	}
 
 	// In the star topology, a central hub serializes routing: each message
-	// occupies it for hubCost before the second hop begins.
+	// occupies it for scaleHubCost before the second hop begins.
 	var hubBusy sim.Time
 	routeViaHub := func(sentAt sim.Time) {
 		start := s.Now()
 		if hubBusy > start {
 			start = hubBusy
 		}
-		hubBusy = start + hubCost
+		hubBusy = start + scaleHubCost
 		s.At(hubBusy, func() {
-			s.After(hop, func() { deliver(sentAt) })
+			s.After(scaleHop, func() { deliver(sentAt) })
 		})
 	}
 
@@ -204,9 +197,9 @@ func runScalabilityPoint(cfg ScalabilityConfig, islands int, topo string) Scalab
 			at := s.Now()
 			switch topo {
 			case "star":
-				s.After(hop, func() { routeViaHub(at) })
+				s.After(scaleHop, func() { routeViaHub(at) })
 			default: // direct
-				s.After(hop, func() { deliver(at) })
+				s.After(scaleHop, func() { deliver(at) })
 			}
 			s.After(rng.ExpTime(interval), emit)
 		}
