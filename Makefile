@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-graph microbench sweep bench fuzz chaos chaos-search overload failover flight scenarios energy check
+.PHONY: all build test race vet lint lint-graph microbench sweep bench fuzz chaos chaos-search overload failover flight scenarios energy reprobench-output check
 
 all: check
 
@@ -48,12 +48,14 @@ sweep:
 bench:
 	$(GO) run ./cmd/reprobench -exp sweep-bench -json /tmp/BENCH_sweep.json -baseline BENCH_sweep.json
 
-# fuzz gives the reliability-protocol and fault-plan-generator fuzzers a
-# short budget each; CI and local smoke runs share the checked-in corpus
-# under testdata.
+# fuzz gives the reliability-protocol, checkpoint-decoder, fault-plan-
+# generator and scenario-spec fuzzers a short budget each; CI and local
+# smoke runs share the checked-in corpus under testdata.
 fuzz:
 	$(GO) test -run FuzzReliableEndpoint -fuzz FuzzReliableEndpoint -fuzztime 30s ./internal/core/
+	$(GO) test -run FuzzCheckpoint -fuzz FuzzCheckpoint -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFaultPlanGen -fuzz FuzzFaultPlanGen -fuzztime 30s ./internal/chaos/
+	$(GO) test -run FuzzScenario -fuzz FuzzScenario -fuzztime 30s .
 
 # chaos runs the fault-injection suites: the root RUBiS chaos tests plus
 # the coordination-plane protocol tests under the race detector.
@@ -134,6 +136,13 @@ energy:
 	$(GO) test -race ./internal/energy/
 	$(GO) test -race -run 'TestEnergy|TestPowerCap' .
 	$(GO) run ./cmd/reprobench -exp ablation-energy -quick
+
+# reprobench-output regenerates the published evaluation output from
+# reprobench's stdout (progress goes to stderr). It runs every experiment
+# at full length: about 10 minutes on 2 vCPUs.
+reprobench-output:
+	$(GO) run ./cmd/reprobench -exp all > docs/reprobench-output.txt.tmp
+	mv docs/reprobench-output.txt.tmp docs/reprobench-output.txt
 
 # check is the full tier-1 gate: what CI runs on every push.
 check: build test lint

@@ -21,7 +21,8 @@
 // -exp sweep-bench runs the pinned benchmark sweep and writes its report
 // to -json (default BENCH_sweep.json); with -baseline it compares against
 // a committed report and exits non-zero on simulated-metric drift, or on
-// >±10% trial-throughput change unless -ignore-wall is set.
+// >±10% trial-throughput change unless -ignore-wall is set. It exits 2
+// without running when -json (default included) names the baseline file.
 //
 // -quick shortens runs by ~4x for smoke testing; published numbers should
 // use the defaults.
@@ -240,28 +241,39 @@ func main() {
 // and optionally enforces the regression guard against a committed
 // baseline: exact on simulated metrics, ±10% on wall-clock trial
 // throughput (skippable with -ignore-wall for CI on unknown hardware).
+// The baseline is loaded before the sweep runs, and an output path naming
+// the baseline file is refused: the guard would compare the run with
+// itself.
 func runSweepBench(cfg benchConfig, jsonPath, baselinePath string, ignoreWall bool) {
+	if jsonPath == "" {
+		jsonPath = "BENCH_sweep.json"
+	}
+	var base *sweep.BenchReport
+	if baselinePath != "" {
+		out, errOut := os.Stat(jsonPath)
+		in, errIn := os.Stat(baselinePath)
+		if errOut == nil && errIn == nil && os.SameFile(out, in) {
+			fmt.Fprintf(os.Stderr, "reprobench: the report path %s is the baseline %s; the guard would compare the run with itself (pass -json elsewhere, e.g. -json /tmp/BENCH_sweep.json)\n", jsonPath, baselinePath)
+			os.Exit(2)
+		}
+		var err error
+		if base, err = sweep.LoadBenchReport(baselinePath); err != nil {
+			die(err)
+		}
+	}
+
 	report, err := repro.RunBenchSweep(cfg.workers, progressPrinter("sweep-bench"))
 	if err != nil {
 		die(err)
 	}
 	fmt.Printf("sweep-bench: %s — %d trials in %.1fs (%.3f trials/s, %d workers)\n",
 		report.Name, report.Trials, report.ElapsedSec, report.TrialsPerSec, report.Workers)
-
-	if jsonPath == "" {
-		jsonPath = "BENCH_sweep.json"
-	}
 	if err := report.Write(jsonPath); err != nil {
 		die(err)
 	}
 	fmt.Fprintf(os.Stderr, "bench report written to %s\n", jsonPath)
-
-	if baselinePath == "" {
+	if base == nil {
 		return
-	}
-	base, err := sweep.LoadBenchReport(baselinePath)
-	if err != nil {
-		die(err)
 	}
 	wallTol := 0.10
 	if ignoreWall {

@@ -2,17 +2,16 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/sim"
 )
 
-// Checkpoint encoding constants. The format borrows the flight recorder's
-// idioms: a magic + version header, uvarint/varint fields, and a CRC32
-// (IEEE) framed body so truncation and corruption are detected before any
-// field is trusted. See docs/robustness.md for the layout.
+// Checkpoint encoding constants. A checkpoint is the magic and a version
+// in front of one codec CRC frame, so truncation and corruption are
+// detected before any field is trusted. See docs/robustness.md for the
+// body layout.
 const (
 	ckptMagic = "CKP1"
 
@@ -146,16 +145,13 @@ func (c *Controller) RestoreSnapshot(ck *Checkpoint, now sim.Time) {
 }
 
 // AppendCheckpoint appends ck's encoding to buf and returns the extended
-// slice. Layout: magic, version (LE uint16), then a uvarint body length,
-// CRC32-IEEE of the body (LE uint32), and the body itself — uvarint/varint
-// fields in struct order, strings length-prefixed.
+// slice. Layout: magic, version (LE uint16), then one codec CRC frame
+// whose payload is the body — uvarint/varint fields in struct order,
+// strings length-prefixed.
 func AppendCheckpoint(buf []byte, ck *Checkpoint) []byte {
-	body := appendCheckpointBody(nil, ck)
 	buf = append(buf, ckptMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, CheckpointVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
-	return append(buf, body...)
+	return codec.AppendFrame(buf, appendCheckpointBody(nil, ck))
 }
 
 func appendCheckpointBody(buf []byte, ck *Checkpoint) []byte {
@@ -165,24 +161,24 @@ func appendCheckpointBody(buf []byte, ck *Checkpoint) []byte {
 
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Islands)))
 	for _, n := range ck.Islands {
-		buf = appendString(buf, n)
+		buf = codec.AppendString(buf, n)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Entities)))
 	for _, e := range ck.Entities {
 		buf = binary.AppendVarint(buf, int64(e.ID))
-		buf = appendString(buf, e.Name)
-		buf = appendString(buf, e.Home)
+		buf = codec.AppendString(buf, e.Name)
+		buf = codec.AppendString(buf, e.Home)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Leases)))
 	for _, l := range ck.Leases {
-		buf = appendString(buf, l.Island)
+		buf = codec.AppendString(buf, l.Island)
 		buf = binary.AppendUvarint(buf, uint64(l.State))
 		buf = binary.AppendVarint(buf, int64(l.LastHeard))
 		buf = binary.AppendVarint(buf, int64(l.DeadAt))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Epochs)))
 	for _, e := range ck.Epochs {
-		buf = appendString(buf, e.Island)
+		buf = codec.AppendString(buf, e.Island)
 		buf = binary.AppendUvarint(buf, e.Epoch)
 	}
 	buf = binary.AppendUvarint(buf, ck.Counters.Routed)
@@ -203,7 +199,7 @@ func appendCheckpointBody(buf []byte, ck *Checkpoint) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Endpoints)))
 	for _, ep := range ck.Endpoints {
-		buf = appendString(buf, ep.Name)
+		buf = codec.AppendString(buf, ep.Name)
 		buf = binary.AppendUvarint(buf, ep.NextSeq)
 		buf = binary.AppendUvarint(buf, ep.Floor)
 		buf = binary.AppendUvarint(buf, ep.Expected)
@@ -211,171 +207,66 @@ func appendCheckpointBody(buf []byte, ck *Checkpoint) []byte {
 	return buf
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// ckptReader is a bounds-checked cursor over an encoded checkpoint body.
-type ckptReader struct {
-	buf []byte
-	err error
-}
-
-func (r *ckptReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("core: checkpoint truncated or corrupt reading %s", what)
-	}
-}
-
-func (r *ckptReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *ckptReader) varint(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *ckptReader) string(what string) string {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.buf)) {
-		r.fail(what)
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
-// count reads a collection length, rejecting values that could not fit in
-// the remaining bytes (each element costs at least one byte) so corrupt
-// lengths fail fast instead of driving huge allocations.
-func (r *ckptReader) count(what string) int {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(len(r.buf)) {
-		r.fail(what + " count")
-		return 0
-	}
-	return int(n)
-}
-
 // DecodeCheckpoint parses an encoded checkpoint, verifying magic, version,
 // framing, and CRC before any field is trusted.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < len(ckptMagic)+2 || string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("core: not a checkpoint (bad magic)")
+	outer := codec.NewReader("core: checkpoint", data)
+	outer.Magic(ckptMagic)
+	outer.Version(CheckpointVersion, "checkpoint")
+	r := outer.Frame()
+	if outer.Err() == nil && outer.Remaining() != 0 {
+		outer.Failf("body length %d, have %d bytes", r.Remaining(), r.Remaining()+outer.Remaining())
 	}
-	data = data[len(ckptMagic):]
-	version := binary.LittleEndian.Uint16(data)
-	if version != CheckpointVersion {
-		return nil, fmt.Errorf("core: checkpoint version %d, want %d", version, CheckpointVersion)
-	}
-	data = data[2:]
-	bodyLen, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("core: checkpoint truncated reading body length")
-	}
-	data = data[n:]
-	if len(data) < 4 {
-		return nil, fmt.Errorf("core: checkpoint truncated reading CRC")
-	}
-	wantCRC := binary.LittleEndian.Uint32(data)
-	data = data[4:]
-	if bodyLen != uint64(len(data)) {
-		return nil, fmt.Errorf("core: checkpoint body length %d, have %d bytes", bodyLen, len(data))
-	}
-	if got := crc32.ChecksumIEEE(data); got != wantCRC {
-		return nil, fmt.Errorf("core: checkpoint CRC mismatch (want %08x, got %08x)", wantCRC, got)
+	if err := outer.Err(); err != nil {
+		return nil, err
 	}
 
-	r := &ckptReader{buf: data}
-	ck := &Checkpoint{
-		Seq:  r.uvarint("seq"),
-		Term: r.uvarint("term"),
-		T:    sim.Time(r.varint("time")),
+	ck := &Checkpoint{Seq: r.Uvarint(), Term: r.Uvarint(), T: sim.Time(r.Varint())}
+	for n := r.Count(); n > 0; n-- {
+		ck.Islands = append(ck.Islands, r.Str())
 	}
-	for i, n := 0, r.count("islands"); i < n && r.err == nil; i++ {
-		ck.Islands = append(ck.Islands, r.string("island"))
+	for n := r.Count(); n > 0; n-- {
+		ck.Entities = append(ck.Entities, Entity{ID: int(r.Varint()), Name: r.Str(), Home: r.Str()})
 	}
-	for i, n := 0, r.count("entities"); i < n && r.err == nil; i++ {
-		ck.Entities = append(ck.Entities, Entity{
-			ID:   int(r.varint("entity id")),
-			Name: r.string("entity name"),
-			Home: r.string("entity home"),
-		})
-	}
-	for i, n := 0, r.count("leases"); i < n && r.err == nil; i++ {
+	for n := r.Count(); n > 0; n-- {
 		ls := LeaseSnapshot{
-			Island:    r.string("lease island"),
-			State:     LeaseState(r.uvarint("lease state")),
-			LastHeard: sim.Time(r.varint("lease lastHeard")),
-			DeadAt:    sim.Time(r.varint("lease deadAt")),
+			Island:    r.Str(),
+			State:     LeaseState(r.Uvarint()),
+			LastHeard: sim.Time(r.Varint()),
+			DeadAt:    sim.Time(r.Varint()),
 		}
-		if r.err == nil && (ls.State < LeaseAlive || ls.State > LeaseDead) {
-			return nil, fmt.Errorf("core: checkpoint lease %q has unknown state %d", ls.Island, int(ls.State))
+		if ls.State < LeaseAlive || ls.State > LeaseDead {
+			r.Failf("lease %q has unknown state %d", ls.Island, int(ls.State))
 		}
 		ck.Leases = append(ck.Leases, ls)
 	}
-	for i, n := 0, r.count("epochs"); i < n && r.err == nil; i++ {
-		ck.Epochs = append(ck.Epochs, EpochSnapshot{
-			Island: r.string("epoch island"),
-			Epoch:  r.uvarint("epoch"),
-		})
+	for n := r.Count(); n > 0; n-- {
+		ck.Epochs = append(ck.Epochs, EpochSnapshot{Island: r.Str(), Epoch: r.Uvarint()})
 	}
-	ck.Counters.Routed = r.uvarint("routed")
+	ck.Counters.Routed = r.Uvarint()
 	for i := range ck.Counters.Unroutable {
-		ck.Counters.Unroutable[i] = r.uvarint("unroutable")
+		ck.Counters.Unroutable[i] = r.Uvarint()
 	}
-	ck.Counters.ShedTunes = r.uvarint("shedTunes")
-	ck.Counters.BoostTunes = r.uvarint("boostTunes")
-	ck.Counters.Heartbeats = r.uvarint("heartbeats")
-	ck.Counters.StrayAcks = r.uvarint("strayAcks")
-	ck.Counters.LeaseExpiries = r.uvarint("leaseExpiries")
-	ck.Counters.Rejoins = r.uvarint("rejoins")
-	ck.Counters.FlapSuppressed = r.uvarint("flapSuppressed")
-	for i, n := 0, r.count("baselines"); i < n && r.err == nil; i++ {
-		ck.Baselines = append(ck.Baselines, BaselineSnapshot{
-			Entity: int(r.varint("baseline entity")),
-			Weight: int(r.varint("baseline weight")),
-		})
+	ck.Counters.ShedTunes = r.Uvarint()
+	ck.Counters.BoostTunes = r.Uvarint()
+	ck.Counters.Heartbeats = r.Uvarint()
+	ck.Counters.StrayAcks = r.Uvarint()
+	ck.Counters.LeaseExpiries = r.Uvarint()
+	ck.Counters.Rejoins = r.Uvarint()
+	ck.Counters.FlapSuppressed = r.Uvarint()
+	for n := r.Count(); n > 0; n-- {
+		ck.Baselines = append(ck.Baselines, BaselineSnapshot{Entity: int(r.Varint()), Weight: int(r.Varint())})
 	}
-	for i, n := 0, r.count("endpoints"); i < n && r.err == nil; i++ {
+	for n := r.Count(); n > 0; n-- {
 		ck.Endpoints = append(ck.Endpoints, EndpointSeqState{
-			Name:     r.string("endpoint name"),
-			NextSeq:  r.uvarint("endpoint nextSeq"),
-			Floor:    r.uvarint("endpoint floor"),
-			Expected: r.uvarint("endpoint expected"),
+			Name: r.Str(), NextSeq: r.Uvarint(), Floor: r.Uvarint(), Expected: r.Uvarint(),
 		})
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() == nil && r.Remaining() != 0 {
+		r.Failf("%d trailing bytes", r.Remaining())
 	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("core: checkpoint has %d trailing bytes", len(r.buf))
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }

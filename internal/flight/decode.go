@@ -1,12 +1,10 @@
 package flight
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/sim"
 )
 
@@ -19,246 +17,49 @@ type Log struct {
 	Bytes   int     // encoded size the log was decoded from
 }
 
-// decodeError builds a diagnosable decode failure at a byte offset.
-func decodeError(off int, format string, args ...interface{}) error {
-	return fmt.Errorf("flight: decode at byte %d: %s", off, fmt.Sprintf(format, args...))
-}
-
-// reader is a bounds-checked cursor over the encoded bytes. Every length it
-// reads is validated against the remaining input before any allocation, so
-// a corrupt length field can never force an allocation proportional to its
-// claimed (rather than actual) size.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) remaining() int { return len(r.data) - r.off }
-
-func (r *reader) byte() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, decodeError(r.off, "unexpected end of input")
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, decodeError(r.off, "need %d bytes, have %d", n, r.remaining())
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, decodeError(r.off, "bad uvarint")
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		return 0, decodeError(r.off, "bad varint")
-	}
-	r.off += n
-	return v, nil
-}
-
 // Decode parses a complete flight log. It never panics on corrupt input:
 // truncation, a bad CRC, an unknown version, or any malformed field returns
 // a diagnosable error (alongside nothing — partial decodes are not
 // returned, because a replay against a silently shortened log would report
 // a bogus divergence).
 func Decode(data []byte) (*Log, error) {
-	r := &reader{data: data}
-	mag, err := r.take(len(magic))
+	var st decState
+	h, events, err := codec.Decode(&format, data, st.event)
 	if err != nil {
 		return nil, err
 	}
-	if string(mag) != magic {
-		return nil, decodeError(0, "bad magic %q (want %q)", mag, magic)
-	}
-	fixed, err := r.take(headerFixedLen - len(magic))
-	if err != nil {
-		return nil, err
-	}
-	l := &Log{Bytes: len(data)}
-	l.Version = binary.LittleEndian.Uint16(fixed[0:2])
-	if l.Version != Version {
-		return nil, fmt.Errorf("flight: unsupported log version %d (this build reads version %d)", l.Version, Version)
-	}
-	if flags := binary.LittleEndian.Uint16(fixed[2:4]); flags != 0 {
-		return nil, fmt.Errorf("flight: unknown header flags %#x", flags)
-	}
-	l.Seed = int64(binary.LittleEndian.Uint64(fixed[4:12]))
-	metaLen, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if metaLen > uint64(r.remaining()) {
-		return nil, decodeError(r.off, "meta length %d exceeds remaining %d bytes", metaLen, r.remaining())
-	}
-	meta, err := r.take(int(metaLen))
-	if err != nil {
-		return nil, err
-	}
-	l.Meta = append([]byte(nil), meta...)
-
-	st := decState{intern: nil}
-	for {
-		marker, err := r.byte()
-		if err != nil {
-			return nil, fmt.Errorf("flight: truncated log: missing end-of-log trailer: %w", err)
-		}
-		switch marker {
-		case segMarker:
-			if err := st.decodeSegment(r, l); err != nil {
-				return nil, err
-			}
-		case endMarker:
-			total, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if total != uint64(len(l.Events)) {
-				return nil, decodeError(r.off, "trailer declares %d events, decoded %d", total, len(l.Events))
-			}
-			if r.remaining() != 0 {
-				return nil, decodeError(r.off, "%d trailing bytes after end-of-log marker", r.remaining())
-			}
-			return l, nil
-		default:
-			return nil, decodeError(r.off-1, "unknown frame marker %#x", marker)
-		}
-	}
+	return &Log{Version: h.Version, Seed: h.Seed, Meta: h.Meta, Events: events, Bytes: len(data)}, nil
 }
 
 // decState mirrors encState on the decoding side.
 type decState struct {
-	intern []string
-	lastT  [NumCategories]sim.Time
+	lastT [NumCategories]sim.Time
 }
 
-// decodeSegment verifies one segment's frame and decodes its payload into
-// l.Events.
-func (st *decState) decodeSegment(r *reader, l *Log) error {
-	segOff := r.off - 1
-	payloadLen, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	crcBytes, err := r.take(4)
-	if err != nil {
-		return err
-	}
-	wantCRC := binary.LittleEndian.Uint32(crcBytes)
-	if payloadLen > uint64(r.remaining()) {
-		return decodeError(r.off, "segment payload length %d exceeds remaining %d bytes (truncated?)", payloadLen, r.remaining())
-	}
-	payload, err := r.take(int(payloadLen))
-	if err != nil {
-		return err
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return decodeError(segOff, "segment CRC mismatch: computed %#08x, stored %#08x", got, wantCRC)
-	}
-
-	p := &reader{data: payload}
-	count, err := p.uvarint()
-	if err != nil {
-		return err
-	}
-	if count > uint64(len(payload))/minEventBytes+1 {
-		return decodeError(segOff, "segment declares %d events in a %d-byte payload", count, len(payload))
-	}
-	var decoded uint64
-	for p.remaining() > 0 {
-		op, err := p.byte()
-		if err != nil {
-			return err
-		}
-		switch op {
-		case opIntern:
-			strLen, err := p.uvarint()
-			if err != nil {
-				return err
-			}
-			if strLen > uint64(p.remaining()) {
-				return decodeError(p.off, "interned string length %d exceeds remaining %d bytes", strLen, p.remaining())
-			}
-			s, err := p.take(int(strLen))
-			if err != nil {
-				return err
-			}
-			st.intern = append(st.intern, string(s))
-		case opEvent:
-			ev, err := st.decodeEvent(p)
-			if err != nil {
-				return err
-			}
-			l.Events = append(l.Events, ev)
-			decoded++
-		default:
-			return decodeError(p.off-1, "unknown payload op %#x", op)
-		}
-	}
-	if decoded != count {
-		return decodeError(segOff, "segment declares %d events, holds %d", count, decoded)
-	}
-	return nil
-}
-
-// decodeEvent decodes one opEvent record body.
-func (st *decState) decodeEvent(p *reader) (Event, error) {
+// event decodes one event record body.
+func (st *decState) event(r *codec.Reader, names []string) Event {
 	var ev Event
-	cat, err := p.byte()
-	if err != nil {
-		return ev, err
+	if cat := r.Byte(); int(cat) < NumCategories {
+		ev.Cat = Category(cat)
+	} else {
+		r.Failf("unknown event category %d", cat)
+		return ev
 	}
-	if int(cat) >= NumCategories {
-		return ev, decodeError(p.off-1, "unknown event category %d", cat)
-	}
-	ev.Cat = Category(cat)
-	if ev.Code, err = p.byte(); err != nil {
-		return ev, err
-	}
-	dt, err := p.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	last := st.lastT[ev.Cat]
+	ev.Code = r.Byte()
+	dt, last := r.Uvarint(), st.lastT[ev.Cat]
 	if dt > uint64(math.MaxInt64-int64(last)) {
-		return ev, decodeError(p.off, "timestamp delta %d overflows sim time", dt)
+		r.Failf("timestamp delta %d overflows sim time", dt)
 	}
 	ev.T = last + sim.Time(dt)
 	st.lastT[ev.Cat] = ev.T
-	labelID, err := p.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	if labelID >= uint64(len(st.intern)) {
-		return ev, decodeError(p.off, "label ID %d beyond interning table of %d", labelID, len(st.intern))
-	}
-	ev.Label = st.intern[labelID]
-	entity, err := p.varint()
-	if err != nil {
-		return ev, err
-	}
+	ev.Label = r.Name(names)
+	entity := r.Varint()
 	if entity < math.MinInt32 || entity > math.MaxInt32 {
-		return ev, decodeError(p.off, "entity %d outside int32 range", entity)
+		r.Failf("entity %d outside int32 range", entity)
 	}
 	ev.Entity = int32(entity)
-	if ev.Arg, err = p.varint(); err != nil {
-		return ev, err
-	}
-	return ev, nil
+	ev.Arg = r.Varint()
+	return ev
 }
 
 // CategoryCount is one category's event tally.

@@ -3,14 +3,14 @@ package flight
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"repro/internal/codec"
 	"repro/internal/sim"
 )
 
-// Binary format constants. See docs/flightrecorder.md for the full
-// specification.
+// Binary format constants. The container is codec's log container; see
+// docs/flightrecorder.md for the event record body.
 const (
 	// Version is the current format version; Decode rejects any other.
 	Version uint16 = 1
@@ -18,37 +18,26 @@ const (
 	// DefaultSegmentEvents is the recorder's in-memory ring capacity: a
 	// full ring is encoded into one CRC-framed segment and spilled to the
 	// writer.
-	DefaultSegmentEvents = 1024
-
-	magic = "FLR1"
-
-	opIntern byte = 0x01 // payload record: define the next string-table entry
-	opEvent  byte = 0x02 // payload record: one event
-
-	segMarker byte = 0xA5 // frames one segment
-	endMarker byte = 0x5A // trailer: end of log + total event count
-
-	// minEventBytes is the smallest possible encoded event record (op,
-	// cat, code, dt, label, entity, arg — one byte each); the decoder uses
-	// it to reject corrupt record counts before doing any work.
-	minEventBytes = 7
+	DefaultSegmentEvents = codec.DefaultSegment
 )
 
-// headerFixedLen is the byte length of the fixed header prefix: magic,
-// version, flags, seed.
-const headerFixedLen = 4 + 2 + 2 + 8
+// format is the .flight instance of the log container. An event record is
+// at least 7 bytes: op, cat, code, dt, label, entity, arg.
+var format = codec.Format{
+	Magic: "FLR1", Version: Version, Prefix: "flight", Noun: "log", Records: "events",
+	MinRecord: 7, EmptyNames: true,
+}
 
 // encState is the stateful half of the encoding shared by every segment of
-// one log: the string-interning table and the per-category timestamp delta
-// bases. The decoder mirrors it exactly.
+// one log: the label intern table and the per-category timestamp delta
+// bases. decState mirrors it.
 type encState struct {
-	intern map[string]uint64
-	nextID uint64
-	lastT  [NumCategories]sim.Time
+	names codec.Names
+	lastT [NumCategories]sim.Time
 }
 
 func newEncState() encState {
-	return encState{intern: make(map[string]uint64)}
+	return encState{names: codec.NewNames()}
 }
 
 // appendEvent appends ev's payload records (an intern definition first if
@@ -63,65 +52,13 @@ func (s *encState) appendEvent(buf []byte, ev Event) ([]byte, error) {
 		//lint:allow hotalloc(misuse error path: formatting happens at most once, after which the recorder is dead)
 		return buf, fmt.Errorf("flight: time went backwards in category %v: %v after %v", ev.Cat, ev.T, s.lastT[ev.Cat])
 	}
-	id, ok := s.intern[ev.Label]
-	if !ok {
-		id = s.nextID
-		s.nextID++
-		s.intern[ev.Label] = id
-		buf = append(buf, opIntern)
-		buf = binary.AppendUvarint(buf, uint64(len(ev.Label)))
-		buf = append(buf, ev.Label...)
-	}
+	buf, id := s.names.Intern(buf, ev.Label)
 	s.lastT[ev.Cat] = ev.T
-	buf = append(buf, opEvent, byte(ev.Cat), ev.Code)
+	buf = append(buf, codec.OpRecord, byte(ev.Cat), ev.Code)
 	buf = binary.AppendUvarint(buf, uint64(dt))
 	buf = binary.AppendUvarint(buf, id)
 	buf = binary.AppendVarint(buf, int64(ev.Entity))
-	buf = binary.AppendVarint(buf, ev.Arg)
-	return buf, nil
-}
-
-// appendHeader appends the file header.
-func appendHeader(buf []byte, seed int64, meta []byte) []byte {
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	buf = binary.LittleEndian.AppendUint16(buf, 0) // flags, reserved
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(seed))
-	buf = binary.AppendUvarint(buf, uint64(len(meta)))
-	buf = append(buf, meta...)
-	return buf
-}
-
-// appendSegment frames one payload: marker, payload length, CRC32 (IEEE)
-// of the payload, then the payload itself.
-func appendSegment(buf, payload []byte) []byte {
-	buf = append(buf, segMarker)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-// appendTrailer appends the end-of-log marker with the total event count,
-// letting the decoder distinguish a complete log from a truncated one.
-func appendTrailer(buf []byte, total uint64) []byte {
-	buf = append(buf, endMarker)
-	return binary.AppendUvarint(buf, total)
-}
-
-// appendSegmentPayload appends one segment payload to buf: the event count
-// followed by the interleaved intern/event records. Callers on the per-event
-// path pass a reused scratch slice (buf[:0]) so a steady-state spill
-// performs no allocation; the encoded bytes are independent of the buffer's
-// provenance.
-func (s *encState) appendSegmentPayload(buf []byte, events []Event) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(events)))
-	var err error
-	for _, ev := range events {
-		if buf, err = s.appendEvent(buf, ev); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return binary.AppendVarint(buf, ev.Arg), nil
 }
 
 // Encode writes a complete flight log for events in segments of
@@ -130,33 +67,6 @@ func (s *encState) appendSegmentPayload(buf []byte, events []Event) ([]byte, err
 // re-encode decoded logs; encoding the events a Decode returned with the
 // same segment size reproduces the original bytes exactly.
 func Encode(w io.Writer, seed int64, meta []byte, events []Event, segmentEvents int) error {
-	if segmentEvents <= 0 {
-		segmentEvents = DefaultSegmentEvents
-	}
-	buf := appendHeader(nil, seed, meta)
 	st := newEncState()
-	total := uint64(len(events))
-	var payload []byte // reused across segments
-	for len(events) > 0 {
-		n := segmentEvents
-		if n > len(events) {
-			n = len(events)
-		}
-		var err error
-		payload, err = st.appendSegmentPayload(payload[:0], events[:n])
-		if err != nil {
-			return err
-		}
-		buf = appendSegment(buf, payload)
-		events = events[n:]
-	}
-	return writeAll(w, appendTrailer(buf, total))
-}
-
-func writeAll(w io.Writer, buf []byte) error {
-	if _, err := w.Write(buf); err != nil {
-		//lint:allow hotalloc(write-failure path: wraps the first error once, then the recorder stays latched on r.err)
-		return fmt.Errorf("flight: writing log: %w", err)
-	}
-	return nil
+	return codec.Encode(&format, w, seed, meta, events, segmentEvents, st.appendEvent)
 }

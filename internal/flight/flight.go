@@ -4,16 +4,16 @@
 // sends and actuations, credit-weight changes and boosts, IXP shed/poll
 // adjustments, admission verdicts, breaker transitions, and lease events.
 //
-// The recorder is passive: it observes through taps at the same sites as the
-// structured trace (and with the same nil-pointer convention — a disabled
-// recorder costs exactly one branch per event site), consumes no simulation
-// randomness, and schedules no events, so an armed recorder never changes a
-// run's simulated metrics. Because every run is a pure function of its
+// The recorder is passive: it observes through taps at the event sites
+// (with a nil-pointer convention — a disabled recorder costs exactly one
+// branch per event site), consumes no simulation randomness, and schedules
+// no events, so an armed recorder never changes a run's simulated metrics. Because every run is a pure function of its
 // configuration and seed, the log header carries both: a replayer can re-run
 // the simulation and stream the live events against the log, turning
 // "deterministic" from a test assertion into a checkable artifact — the
 // first divergence is reported with its sim-time, category, and both
-// payloads. See docs/flightrecorder.md for the format specification.
+// payloads. A .flight file is an instance of codec's log container; see
+// docs/flightrecorder.md for the format specification.
 package flight
 
 import (

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/sim"
 )
 
@@ -115,7 +116,7 @@ func TestNilRecorderSafe(t *testing.T) {
 
 func TestInterningSingleDefinition(t *testing.T) {
 	data := encodeSample(t, 4) // "x86" spans segments
-	if n := bytes.Count(data, []byte{opIntern, 3, 'x', '8', '6'}); n != 1 {
+	if n := bytes.Count(data, []byte{codec.OpIntern, 3, 'x', '8', '6'}); n != 1 {
 		t.Fatalf(`label "x86" interned %d times, want 1`, n)
 	}
 }

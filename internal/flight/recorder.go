@@ -3,6 +3,8 @@ package flight
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/codec"
 )
 
 // Recorder collects flight events. It runs in one of two modes:
@@ -51,7 +53,7 @@ func NewRecorder(w io.Writer, seed int64, meta []byte, segmentEvents int) (*Reco
 	if segmentEvents <= 0 {
 		segmentEvents = DefaultSegmentEvents
 	}
-	if err := writeAll(w, appendHeader(nil, seed, meta)); err != nil {
+	if err := format.Write(w, format.AppendHeader(nil, seed, meta)); err != nil {
 		return nil, err
 	}
 	return &Recorder{w: w, enc: newEncState(), ring: make([]Event, 0, segmentEvents)}, nil
@@ -85,15 +87,15 @@ func (r *Recorder) spill() {
 	if len(r.ring) == 0 {
 		return
 	}
-	payload, err := r.enc.appendSegmentPayload(r.payload[:0], r.ring)
+	payload, err := codec.AppendPayload(r.payload[:0], r.ring, r.enc.appendEvent)
 	if err != nil {
 		r.err = err
 		return
 	}
 	r.payload = payload
 	r.ring = r.ring[:0]
-	r.frame = appendSegment(r.frame[:0], payload)
-	r.err = writeAll(r.w, r.frame)
+	r.frame = codec.AppendSegment(r.frame[:0], payload)
+	r.err = format.Write(r.w, r.frame)
 }
 
 // Flush spills any buffered events without closing the log.
@@ -115,7 +117,7 @@ func (r *Recorder) Close() error {
 	if r.err != nil {
 		return r.err
 	}
-	r.err = writeAll(r.w, appendTrailer(nil, r.total))
+	r.err = format.Write(r.w, codec.AppendTrailer(nil, r.total))
 	return r.err
 }
 

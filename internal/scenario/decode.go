@@ -1,56 +1,11 @@
 package scenario
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/sim"
 )
-
-// decodeError builds a diagnosable decode failure at a byte offset.
-func decodeError(off int, format string, args ...interface{}) error {
-	return fmt.Errorf("scenario: decode at byte %d: %s", off, fmt.Sprintf(format, args...))
-}
-
-// reader is a bounds-checked cursor over the encoded bytes. Every length
-// it reads is validated against the remaining input before any
-// allocation, so a corrupt length field can never force an allocation
-// proportional to its claimed (rather than actual) size.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) remaining() int { return len(r.data) - r.off }
-
-func (r *reader) byte() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, decodeError(r.off, "unexpected end of input")
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, decodeError(r.off, "need %d bytes, have %d", n, r.remaining())
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, decodeError(r.off, "bad uvarint")
-	}
-	r.off += n
-	return v, nil
-}
 
 // Decode parses a complete .wtrace. It never panics on corrupt input:
 // truncation, a bad CRC, an unknown version, or any malformed field
@@ -58,182 +13,37 @@ func (r *reader) uvarint() (uint64, error) {
 // not returned, because replaying a silently shortened trace would
 // produce a bogus run).
 func Decode(data []byte) (*Trace, error) {
-	r := &reader{data: data}
-	mag, err := r.take(len(magic))
+	var st decState
+	h, reqs, err := codec.Decode(&format, data, st.req)
 	if err != nil {
 		return nil, err
 	}
-	if string(mag) != magic {
-		return nil, decodeError(0, "bad magic %q (want %q)", mag, magic)
-	}
-	fixed, err := r.take(headerFixedLen - len(magic))
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Bytes: len(data)}
-	t.Version = binary.LittleEndian.Uint16(fixed[0:2])
-	if t.Version != Version {
-		return nil, fmt.Errorf("scenario: unsupported trace version %d (this build reads version %d)", t.Version, Version)
-	}
-	if flags := binary.LittleEndian.Uint16(fixed[2:4]); flags != 0 {
-		return nil, fmt.Errorf("scenario: unknown header flags %#x", flags)
-	}
-	t.Seed = int64(binary.LittleEndian.Uint64(fixed[4:12]))
-	metaLen, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if metaLen > uint64(r.remaining()) {
-		return nil, decodeError(r.off, "meta length %d exceeds remaining %d bytes", metaLen, r.remaining())
-	}
-	meta, err := r.take(int(metaLen))
-	if err != nil {
-		return nil, err
-	}
-	t.Meta = append([]byte(nil), meta...)
-
-	st := decState{}
-	for {
-		marker, err := r.byte()
-		if err != nil {
-			return nil, fmt.Errorf("scenario: truncated trace: missing end-of-trace trailer: %w", err)
-		}
-		switch marker {
-		case segMarker:
-			if err := st.decodeSegment(r, t); err != nil {
-				return nil, err
-			}
-		case endMarker:
-			total, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if total != uint64(len(t.Reqs)) {
-				return nil, decodeError(r.off, "trailer declares %d requests, decoded %d", total, len(t.Reqs))
-			}
-			if r.remaining() != 0 {
-				return nil, decodeError(r.off, "%d trailing bytes after end-of-trace marker", r.remaining())
-			}
-			return t, nil
-		default:
-			return nil, decodeError(r.off-1, "unknown frame marker %#x", marker)
-		}
-	}
+	return &Trace{Version: h.Version, Seed: h.Seed, Meta: h.Meta, Reqs: reqs, Bytes: len(data)}, nil
 }
 
 // decState mirrors encState on the decoding side.
 type decState struct {
-	intern []string
-	lastT  sim.Time
+	lastT sim.Time
 }
 
-// decodeSegment verifies one segment's frame and decodes its payload into
-// t.Reqs.
-func (st *decState) decodeSegment(r *reader, t *Trace) error {
-	segOff := r.off - 1
-	payloadLen, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	crcBytes, err := r.take(4)
-	if err != nil {
-		return err
-	}
-	wantCRC := binary.LittleEndian.Uint32(crcBytes)
-	if payloadLen > uint64(r.remaining()) {
-		return decodeError(r.off, "segment payload length %d exceeds remaining %d bytes (truncated?)", payloadLen, r.remaining())
-	}
-	payload, err := r.take(int(payloadLen))
-	if err != nil {
-		return err
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return decodeError(segOff, "segment CRC mismatch: computed %#08x, stored %#08x", got, wantCRC)
-	}
-
-	p := &reader{data: payload}
-	count, err := p.uvarint()
-	if err != nil {
-		return err
-	}
-	if count > uint64(len(payload))/minReqBytes+1 {
-		return decodeError(segOff, "segment declares %d requests in a %d-byte payload", count, len(payload))
-	}
-	var decoded uint64
-	for p.remaining() > 0 {
-		op, err := p.byte()
-		if err != nil {
-			return err
-		}
-		switch op {
-		case opIntern:
-			strLen, err := p.uvarint()
-			if err != nil {
-				return err
-			}
-			if strLen > uint64(p.remaining()) {
-				return decodeError(p.off, "interned class length %d exceeds remaining %d bytes", strLen, p.remaining())
-			}
-			if strLen == 0 {
-				return decodeError(p.off, "interned class is empty")
-			}
-			s, err := p.take(int(strLen))
-			if err != nil {
-				return err
-			}
-			st.intern = append(st.intern, string(s))
-		case opReq:
-			req, err := st.decodeReq(p)
-			if err != nil {
-				return err
-			}
-			t.Reqs = append(t.Reqs, req)
-			decoded++
-		default:
-			return decodeError(p.off-1, "unknown payload op %#x", op)
-		}
-	}
-	if decoded != count {
-		return decodeError(segOff, "segment declares %d requests, holds %d", count, decoded)
-	}
-	return nil
-}
-
-// decodeReq decodes one opReq record body.
-func (st *decState) decodeReq(p *reader) (Req, error) {
-	var req Req
-	dt, err := p.uvarint()
-	if err != nil {
-		return req, err
-	}
+// req decodes one request record body.
+func (st *decState) req(r *codec.Reader, names []string) Req {
+	dt := r.Uvarint()
 	if dt > uint64(math.MaxInt64-int64(st.lastT)) {
-		return req, decodeError(p.off, "arrival delta %d overflows sim time", dt)
+		r.Failf("arrival delta %d overflows sim time", dt)
 	}
-	req.T = st.lastT + sim.Time(dt)
+	req := Req{T: st.lastT + sim.Time(dt), Class: r.Name(names)}
 	st.lastT = req.T
-	classID, err := p.uvarint()
-	if err != nil {
-		return req, err
+	req.Session = nonNegative(r, "session")
+	req.Size = nonNegative(r, "size")
+	return req
+}
+
+// nonNegative reads a uvarint that must fit in an int64.
+func nonNegative(r *codec.Reader, what string) int64 {
+	v := r.Uvarint()
+	if v > math.MaxInt64 {
+		r.Failf("%s %d overflows int64", what, v)
 	}
-	if classID >= uint64(len(st.intern)) {
-		return req, decodeError(p.off, "class ID %d beyond interning table of %d", classID, len(st.intern))
-	}
-	req.Class = st.intern[classID]
-	session, err := p.uvarint()
-	if err != nil {
-		return req, err
-	}
-	if session > math.MaxInt64 {
-		return req, decodeError(p.off, "session %d overflows int64", session)
-	}
-	req.Session = int64(session)
-	size, err := p.uvarint()
-	if err != nil {
-		return req, err
-	}
-	if size > math.MaxInt64 {
-		return req, decodeError(p.off, "size %d overflows int64", size)
-	}
-	req.Size = int64(size)
-	return req, nil
+	return int64(v)
 }

@@ -3,127 +3,56 @@ package scenario
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
+	"repro/internal/codec"
 	"repro/internal/sim"
 )
 
-// Binary format constants. The framing deliberately mirrors the flight
-// recorder's (docs/flightrecorder.md): a fixed header, CRC32-framed
-// segments of interleaved intern/request records, and a counted trailer.
-// See docs/scenarios.md for the .wtrace specification.
+// Binary format constants. The container is codec's log container; see
+// docs/scenarios.md for the request record body.
 const (
 	// Version is the current format version; Decode rejects any other.
 	Version uint16 = 1
 
 	// DefaultSegmentReqs is the encoder's segment granularity: requests
 	// per CRC-framed segment.
-	DefaultSegmentReqs = 1024
-
-	magic = "WTR1"
-
-	opIntern byte = 0x01 // payload record: define the next class-table entry
-	opReq    byte = 0x02 // payload record: one request
-
-	segMarker byte = 0xA5 // frames one segment
-	endMarker byte = 0x5A // trailer: end of trace + total request count
-
-	// minReqBytes is the smallest possible encoded request record (op,
-	// dt, class id, session, size — one byte each); the decoder uses it
-	// to reject corrupt record counts before doing any work.
-	minReqBytes = 5
+	DefaultSegmentReqs = codec.DefaultSegment
 )
 
-// headerFixedLen is the byte length of the fixed header prefix: magic,
-// version, flags, seed.
-const headerFixedLen = 4 + 2 + 2 + 8
-
-// encState is the stateful half of the encoding shared by every segment
-// of one trace: the class-interning table and the timestamp delta base.
-// Arrivals form a single nondecreasing stream, so one delta base suffices
-// (unlike the flight log's per-category bases). The decoder mirrors it.
-type encState struct {
-	intern map[string]uint64
-	nextID uint64
-	lastT  sim.Time
+// format is the .wtrace instance of the log container. A request record is
+// at least 5 bytes: op, dt, class id, session, size.
+var format = codec.Format{
+	Magic: "WTR1", Version: Version, Prefix: "scenario", Noun: "trace", Records: "requests",
+	MinRecord: 5,
 }
 
-func newEncState() encState {
-	return encState{intern: make(map[string]uint64)}
+// encState is the stateful half of the encoding shared by every segment
+// of one trace: the class intern table and the timestamp delta base.
+// Arrivals form a single nondecreasing stream, so one delta base suffices
+// (unlike the flight log's per-category bases). decState mirrors it.
+type encState struct {
+	names codec.Names
+	lastT sim.Time
+	n     int // requests encoded so far
 }
 
 // appendReq appends r's payload records (an intern definition first if the
 // class is new) to buf, advancing the encoder state.
 func (s *encState) appendReq(buf []byte, r Req) ([]byte, error) {
+	if err := checkReq(s.n, r, s.lastT); err != nil {
+		return buf, err
+	}
+	buf, id := s.names.Intern(buf, r.Class)
 	dt := r.T - s.lastT
-	switch {
-	case dt < 0:
-		return buf, fmt.Errorf("scenario: arrival time went backwards: %v after %v", r.T, s.lastT)
-	case r.Class == "":
-		return buf, fmt.Errorf("scenario: request at %v has an empty class", r.T)
-	case r.Session < 0:
-		return buf, fmt.Errorf("scenario: request at %v has negative session %d", r.T, r.Session)
-	case r.Size < 0:
-		return buf, fmt.Errorf("scenario: request at %v has negative size %d", r.T, r.Size)
-	}
-	id, ok := s.intern[r.Class]
-	if !ok {
-		id = s.nextID
-		s.nextID++
-		s.intern[r.Class] = id
-		buf = append(buf, opIntern)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Class)))
-		buf = append(buf, r.Class...)
-	}
 	s.lastT = r.T
-	buf = append(buf, opReq)
+	s.n++
+	buf = append(buf, codec.OpRecord)
 	buf = binary.AppendUvarint(buf, uint64(dt))
 	buf = binary.AppendUvarint(buf, id)
 	buf = binary.AppendUvarint(buf, uint64(r.Session))
-	buf = binary.AppendUvarint(buf, uint64(r.Size))
-	return buf, nil
-}
-
-// appendHeader appends the file header.
-func appendHeader(buf []byte, seed int64, meta []byte) []byte {
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	buf = binary.LittleEndian.AppendUint16(buf, 0) // flags, reserved
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(seed))
-	buf = binary.AppendUvarint(buf, uint64(len(meta)))
-	return append(buf, meta...)
-}
-
-// appendSegment frames one payload: marker, payload length, CRC32 (IEEE)
-// of the payload, then the payload itself.
-func appendSegment(buf, payload []byte) []byte {
-	buf = append(buf, segMarker)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-// appendTrailer appends the end-of-trace marker with the total request
-// count, letting the decoder distinguish a complete trace from a
-// truncated one.
-func appendTrailer(buf []byte, total uint64) []byte {
-	buf = append(buf, endMarker)
-	return binary.AppendUvarint(buf, total)
-}
-
-// appendSegmentPayload appends one segment payload: the request count
-// followed by the interleaved intern/request records.
-func (s *encState) appendSegmentPayload(buf []byte, reqs []Req) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(len(reqs)))
-	var err error
-	for _, r := range reqs {
-		if buf, err = s.appendReq(buf, r); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return binary.AppendUvarint(buf, uint64(r.Size)), nil
 }
 
 // Encode writes a complete .wtrace for reqs in segments of segmentReqs
@@ -132,30 +61,8 @@ func (s *encState) appendSegmentPayload(buf []byte, reqs []Req) ([]byte, error) 
 // bytes exactly — the round-trip contract the golden conformance suite
 // pins.
 func Encode(w io.Writer, seed int64, meta []byte, reqs []Req, segmentReqs int) error {
-	if segmentReqs <= 0 {
-		segmentReqs = DefaultSegmentReqs
-	}
-	buf := appendHeader(nil, seed, meta)
-	st := newEncState()
-	total := uint64(len(reqs))
-	var payload []byte // reused across segments
-	for len(reqs) > 0 {
-		n := segmentReqs
-		if n > len(reqs) {
-			n = len(reqs)
-		}
-		var err error
-		payload, err = st.appendSegmentPayload(payload[:0], reqs[:n])
-		if err != nil {
-			return err
-		}
-		buf = appendSegment(buf, payload)
-		reqs = reqs[n:]
-	}
-	if _, err := w.Write(appendTrailer(buf, total)); err != nil {
-		return fmt.Errorf("scenario: writing trace: %w", err)
-	}
-	return nil
+	st := encState{names: codec.NewNames()}
+	return codec.Encode(&format, w, seed, meta, reqs, segmentReqs, st.appendReq)
 }
 
 // Encode writes the trace with the default segment size.

@@ -9,11 +9,11 @@
 // sim-time, session id, payload size — deliberately free of any RUBiS
 // vocabulary: classes are strings mapped onto concrete request profiles
 // at replay time (see rubis.ResolveTrace), so the same trace can drive
-// different service catalogs. The encoding reuses the flight recorder's
-// idioms (CRC32-framed segments, lazy string interning, varint time
-// deltas; see docs/scenarios.md for the format specification), and the
-// same conformance contract holds: Encode(Decode(x)) is byte-identical,
-// and every generator is a pure function of its spec and seed.
+// different service catalogs. A .wtrace is an instance of codec's log
+// container (CRC32-framed segments, lazy string interning) whose record
+// body is one Req with a varint time delta; docs/scenarios.md specifies
+// it. Encode(Decode(x)) is byte-identical, and every generator is a pure
+// function of its spec and seed.
 package scenario
 
 import (
@@ -54,17 +54,26 @@ func (t *Trace) Span() sim.Time {
 func (t *Trace) Validate() error {
 	var last sim.Time
 	for i, r := range t.Reqs {
-		switch {
-		case r.T < last:
-			return fmt.Errorf("scenario: request %d arrives at %v, before request %d at %v", i, r.T, i-1, last)
-		case r.Class == "":
-			return fmt.Errorf("scenario: request %d has an empty class", i)
-		case r.Session < 0:
-			return fmt.Errorf("scenario: request %d has negative session %d", i, r.Session)
-		case r.Size < 0:
-			return fmt.Errorf("scenario: request %d has negative size %d", i, r.Size)
+		if err := checkReq(i, r, last); err != nil {
+			return err
 		}
 		last = r.T
+	}
+	return nil
+}
+
+// checkReq reports why request i, r, cannot follow a request that arrived
+// at last; Validate and Encode share it.
+func checkReq(i int, r Req, last sim.Time) error {
+	switch {
+	case r.T < last:
+		return fmt.Errorf("scenario: request %d arrives at %v, before request %d at %v: time went backwards", i, r.T, i-1, last)
+	case r.Class == "":
+		return fmt.Errorf("scenario: request %d has an empty class", i)
+	case r.Session < 0:
+		return fmt.Errorf("scenario: request %d has negative session %d", i, r.Session)
+	case r.Size < 0:
+		return fmt.Errorf("scenario: request %d has negative size %d", i, r.Size)
 	}
 	return nil
 }
