@@ -134,7 +134,7 @@ scenarios:
 # at equal QoS at the calibrated 1x load.
 energy:
 	$(GO) test -race ./internal/energy/
-	$(GO) test -race -run 'TestEnergy|TestPowerCap' .
+	$(GO) test -race -run 'TestEnergy|TestPowerCap|ExampleRunPowerCap' .
 	$(GO) run ./cmd/reprobench -exp ablation-energy -quick
 
 # reprobench-output regenerates the published evaluation output from

@@ -29,7 +29,7 @@ type ChaosRun struct {
 	// Replay, when non-nil, is a record->replay divergence check of Run.
 	Replay *FlightReplay
 	// PowerCap, when non-nil, is a power-cap run judged by the cap oracle
-	// (the budgeter reads the same metered watts the energy ledgers
+	// (the governor reads the same metered watts the energy ledgers
 	// integrate, so its series is the authoritative platform power).
 	PowerCap *PowerCapRun
 }
@@ -332,7 +332,7 @@ func checkEnergyConserve(cr ChaosRun) OracleVerdict {
 // convergence: one period for the excursion to show in the metered window
 // plus one for the throttle Tune to land — "never above the cap for longer
 // than one control period" once detection and actuation latency are
-// accounted. The initial convergence ramp (before the budgeter first
+// accounted. The initial convergence ramp (before the governor first
 // brings the platform under its cap) is excluded: a cold start against a
 // saturating workload lawfully spends several periods throttling down.
 const powerCapMaxStreak = 2

@@ -63,3 +63,17 @@ func ExampleCoordScheme() {
 	// loadtrack
 	// class
 }
+
+// ExampleRunPowerCap holds two CPU-hog guests under a 120 W platform cap:
+// the coordinated energy governor steps the x86 island down one operating
+// point per 500 ms window until the metered draw fits, then holds.
+func ExampleRunPowerCap() {
+	r := repro.RunPowerCap(repro.PowerCapConfig{Seed: 1, CapWatts: 120, Duration: 10 * time.Second})
+	fmt.Printf("cap=%.0fW uncapped=%.1fW steady=%.1fW\n", r.CapWatts, r.UncappedWatts, r.SteadyWatts)
+	fmt.Printf("over-cap periods=%d actions=%d\n", r.OverCapPeriods, r.ThrottleActions)
+	fmt.Printf("final: x86 %d MHz, IXP %d pools\n", r.FinalX86MHz, r.FinalIXPPools)
+	// Output:
+	// cap=120W uncapped=163.6W steady=112.7W
+	// over-cap periods=3 actions=3
+	// final: x86 1666 MHz, IXP 4 pools
+}

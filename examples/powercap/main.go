@@ -1,7 +1,13 @@
 // Power-cap example: the paper's second motivating use case, built from
-// the same Tune mechanism as the CPU schemes. A platform budgeter samples
-// per-island power models and throttles guest VMs (via CPU-cap Tunes to the
-// x86 island's power agent) until the platform-level budget holds.
+// the same Tune mechanism as the CPU schemes. The coordinated energy
+// governor reads the energy meter's per-island watts and, while the
+// platform is over its budget, sends one down-rung DVFS Tune per window —
+// x86 first, IXP pools once x86 is at its lowest point — until the
+// platform-level budget holds. With seed 7 it prints:
+//
+//	uncapped platform draw: 163.6 W
+//	budget: 120 W -> steady state 112.7 W after 3 throttle actions
+//	final operating points: x86 1666 MHz, IXP 4 pools
 package main
 
 import (
@@ -16,7 +22,7 @@ func main() {
 	fmt.Printf("uncapped platform draw: %.1f W\n", run.UncappedWatts)
 	fmt.Printf("budget: %.0f W -> steady state %.1f W after %d throttle actions\n",
 		run.CapWatts, run.SteadyWatts, run.ThrottleActions)
-	fmt.Printf("final guest CPU caps: %v\n", run.FinalGuestCaps)
+	fmt.Printf("final operating points: x86 %d MHz, IXP %d pools\n", run.FinalX86MHz, run.FinalIXPPools)
 
 	fmt.Println("\nplatform power over time:")
 	step := len(run.Series) / 20

@@ -120,14 +120,6 @@ func WithRateLimit(s *sim.Simulator, minInterval sim.Time) AgentOption {
 	return func(a *Agent) { a.limiter = NewRateLimiter(s, minInterval) }
 }
 
-// WithTokenBucket rate-limits outbound messages per (kind, entity) with a
-// token bucket of the given burst: damped, not starved — an overload
-// episode may emit a burst of Triggers before the refill interval gates
-// the steady state.
-func WithTokenBucket(s *sim.Simulator, refill sim.Time, burst int) AgentOption {
-	return func(a *Agent) { a.limiter = NewTokenBucketRateLimiter(s, refill, burst) }
-}
-
 // SetLimiter installs (or replaces) the agent's outbound rate limiter
 // after construction; nil removes it.
 func (a *Agent) SetLimiter(l *RateLimiter) { a.limiter = l }

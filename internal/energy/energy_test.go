@@ -342,6 +342,7 @@ type coordHarness struct {
 	x86, ixp *Machine
 	ixpUtil  float64
 	boosts   int
+	load     float64 // x86 utilization behind a capped harness's watts
 }
 
 func newCoordHarness(t *testing.T) *coordHarness {
@@ -352,7 +353,6 @@ func newCoordHarness(t *testing.T) *coordHarness {
 		Target:          2 * sim.Second,
 		X86:             h.x86,
 		IXP:             h.ixp,
-		X86Util:         func() float64 { return 1 },
 		IXPUtil:         func() float64 { return h.ixpUtil },
 		TuneX86:         func(delta int) { h.x86.Step(delta) },
 		TuneIXP:         func(delta int) { h.ixp.Step(delta) },
@@ -362,9 +362,29 @@ func newCoordHarness(t *testing.T) *coordHarness {
 	return h
 }
 
+// newCapHarness is newCoordHarness with a platform cap and metered-watts
+// sensors reading the machines' committed points at h.load.
+func newCapHarness(t *testing.T, capW float64) *coordHarness {
+	h := newCoordHarness(t)
+	h.load = 1
+	h.g.cfg.CapWatts = capW
+	h.g.cfg.X86Watts = func() float64 { return h.x86.Current().Watts(h.load) }
+	h.g.cfg.IXPWatts = func() float64 { return h.ixp.Current().StaticW + IXPThreadWatts(14) }
+	return h
+}
+
+// watts is the capped harness's metered platform draw.
+func (h *coordHarness) watts() float64 { return h.g.cfg.X86Watts() + h.g.cfg.IXPWatts() }
+
 // step feeds one control window and dispatches the resulting transition.
 func (h *coordHarness) step(p95 sim.Time) {
 	h.g.Step(p95, 30)
+	h.s.RunUntil(h.s.Now() + sim.Millisecond)
+}
+
+// idle feeds one control window with no responses.
+func (h *coordHarness) idle() {
+	h.g.Step(0, 0)
 	h.s.RunUntil(h.s.Now() + sim.Millisecond)
 }
 
@@ -478,6 +498,85 @@ func TestCoordinatedIXPGuard(t *testing.T) {
 	h.step(slack)
 	if h.ixp.Index() != ixp.NumMEPools-2 {
 		t.Fatalf("guard refused a safe gating (index %d)", h.ixp.Index())
+	}
+}
+
+// TestCoordinatedCapStepsX86First: over the cap the governor sends one
+// down-rung per window, x86 first, gates an IXP pool only once x86 sits at
+// its bottom point, stops once the draw fits, and skips QoS meanwhile.
+func TestCoordinatedCapStepsX86First(t *testing.T) {
+	h := newCapHarness(t, 90)
+	top := len(h.x86.Points()) - 1
+	for i := 1; i <= top; i++ {
+		h.g.Step(3*sim.Second, 30) // a QoS violation must not outrank the cap
+		h.s.RunUntil(h.s.Now() + sim.Millisecond)
+		if h.x86.Index() != top-i || !h.ixp.AtTop() {
+			t.Fatalf("over-cap window %d: x86 %d, IXP %d; want x86 %d, IXP at top", i, h.x86.Index(), h.ixp.Index(), top-i)
+		}
+	}
+	if h.g.Violations() != 0 {
+		t.Fatalf("over-cap windows counted %d QoS violations", h.g.Violations())
+	}
+	// x86 is at its bottom point and the platform is still over: gate pools.
+	for h.watts() > 90 {
+		before := h.ixp.Index()
+		h.idle()
+		if h.ixp.Index() != before-1 || !h.x86.AtBottom() {
+			t.Fatalf("over cap at x86 bottom: IXP %d -> %d, x86 %d", before, h.ixp.Index(), h.x86.Index())
+		}
+	}
+	if got := h.ixp.Index(); got != ixp.NumMEPools-3 {
+		t.Fatalf("IXP settled at index %d, want %d", got, ixp.NumMEPools-3)
+	}
+	if want := top + 2; h.g.Actions() != want {
+		t.Fatalf("actions %d, want %d", h.g.Actions(), want)
+	}
+	h.idle()
+	if h.g.Actions() != top+2 {
+		t.Fatal("governor acted once the draw fit under the cap")
+	}
+}
+
+// TestCoordinatedCapRestore: under the cap, a window with no responses
+// restores one rung — IXP first, then x86 — only when the draw projected at
+// the measured utilization fits; windows with responses leave restoring to
+// the QoS logic.
+func TestCoordinatedCapRestore(t *testing.T) {
+	h := newCapHarness(t, 100)
+	h.x86.SetIndex(0)
+	h.ixp.SetIndex(0)
+	h.s.RunUntil(h.s.Now() + sim.Millisecond)
+
+	// IXP first, one pool per window.
+	for i := 1; i < ixp.NumMEPools; i++ {
+		h.idle()
+		if h.ixp.Index() != i || !h.x86.AtBottom() {
+			t.Fatalf("restore window %d: IXP %d, x86 %d", i, h.ixp.Index(), h.x86.Index())
+		}
+	}
+	// Saturated, the next x86 point would draw over the cap: hold.
+	if next := h.x86.Points()[1].Watts(1) + h.g.cfg.IXPWatts(); next <= 100 {
+		t.Fatalf("test premise: projected %.1fW fits the cap", next)
+	}
+	for i := 0; i < 3; i++ {
+		h.idle()
+	}
+	if !h.x86.AtBottom() {
+		t.Fatalf("restored x86 to %d although the projection exceeds the cap", h.x86.Index())
+	}
+	// Load drops: every projection fits, but a window with responses in
+	// the QoS dead zone still restores nothing.
+	h.load = 0
+	h.g.Step(sim.Time(float64(h.g.cfg.Target)*0.9), 30)
+	h.s.RunUntil(h.s.Now() + sim.Millisecond)
+	if !h.x86.AtBottom() {
+		t.Fatal("a window with responses restored a rung")
+	}
+	for i := 1; i < len(h.x86.Points()); i++ {
+		h.idle()
+		if h.x86.Index() != i {
+			t.Fatalf("idle restore window %d: x86 %d", i, h.x86.Index())
+		}
 	}
 }
 

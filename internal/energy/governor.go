@@ -91,10 +91,16 @@ type CoordinatedConfig struct {
 	X86 *Machine
 	IXP *Machine
 
-	// X86Util and IXPUtil return each island's utilization over the
-	// window just ending.
-	X86Util func() float64
+	// IXPUtil returns the IXP island's utilization over the window just
+	// ending.
 	IXPUtil func() float64
+
+	// CapWatts, when positive, is a platform power cap the governor holds
+	// before it weighs QoS; 0 disables it. X86Watts and IXPWatts return
+	// each island's metered watts over the meter's last closed window.
+	CapWatts float64
+	X86Watts func() float64
+	IXPWatts func() float64
 
 	// TuneX86 and TuneIXP route a DVFS Tune (step delta) to the island's
 	// DVFS agent through the global controller. TriggerX86 routes a Trigger
@@ -118,7 +124,9 @@ type CoordinatedConfig struct {
 // can run the islands at the cheapest joint operating point that still
 // meets p95 — and when p95 does slip, it escalates across islands in
 // cost order (x86 frequency, then IXP pools, then a credit-weight Tune to
-// the bottleneck tier) instead of over-provisioning everywhere.
+// the bottleneck tier) instead of over-provisioning everywhere. With a
+// platform power cap set, holding the metered watts under the cap comes
+// before QoS.
 type Coordinated struct {
 	cfg CoordinatedConfig
 	sim *sim.Simulator
@@ -148,9 +156,13 @@ func (g *Coordinated) Violations() int { return g.violations }
 func (g *Coordinated) Actions() int { return g.actions }
 
 // Step runs one control decision for a window that observed n responses
-// with the given p95. Windows with no responses leave the platform
+// with the given p95. The power cap, when set, is checked first (see
+// holdCap). Otherwise windows with no responses leave the platform
 // untouched: an idle window is not evidence of slack under the SLO.
 func (g *Coordinated) Step(p95 sim.Time, n int) {
+	if g.cfg.CapWatts > 0 && g.holdCap(n) {
+		return
+	}
 	if n == 0 {
 		return
 	}
@@ -217,5 +229,57 @@ func (g *Coordinated) deescalate() {
 		c.TuneX86(-1)
 		g.actions++
 		g.slack = 0 // re-prove slack at the new point before cutting again
+	}
+}
+
+// holdCap enforces the platform power cap and reports whether it spent the
+// window. Over the cap it steps one rung down — the x86 island first,
+// where most of the watts are, and an IXP pool only once x86 sits at its
+// bottom point — and skips QoS. Under the cap, a window with no responses
+// restores one rung in the reverse order, but only when the draw projected
+// from the operating-point table at the utilization the meter just
+// measured still fits under the cap. A fixed restore headroom instead of
+// the projection would let a saturated platform restore back over the cap
+// and oscillate.
+func (g *Coordinated) holdCap(n int) bool {
+	c := &g.cfg
+	xw, iw := c.X86Watts(), c.IXPWatts()
+	if xw+iw > c.CapWatts {
+		switch {
+		case !c.X86.AtBottom():
+			g.capTune(c.X86, c.TuneX86, -1)
+		case !c.IXP.AtBottom():
+			g.capTune(c.IXP, c.TuneIXP, -1)
+		}
+		return true
+	}
+	if n > 0 {
+		return false
+	}
+	switch {
+	case !c.IXP.AtTop():
+		next := c.IXP.Points()[c.IXP.Index()+1]
+		if xw+iw-c.IXP.Current().StaticW+next.StaticW <= c.CapWatts {
+			g.capTune(c.IXP, c.TuneIXP, +1)
+		}
+	case !c.X86.AtTop():
+		cur := c.X86.Current()
+		next := c.X86.Points()[c.X86.Index()+1]
+		u := 0.0
+		if cur.DynW > 0 {
+			u = (xw - cur.StaticW) / cur.DynW
+		}
+		if next.Watts(u)+iw <= c.CapWatts {
+			g.capTune(c.X86, c.TuneX86, +1)
+		}
+	}
+	return true
+}
+
+// capTune sends one cap rung change unless the island is mid-transition.
+func (g *Coordinated) capTune(m *Machine, tune func(delta int), delta int) {
+	if !m.InFlight() {
+		tune(delta)
+		g.actions++
 	}
 }

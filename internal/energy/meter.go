@@ -81,8 +81,8 @@ func (m *Meter) accrue() {
 func (m *Meter) Flush() { m.accrue() }
 
 // Watts returns the named island's average power over the last closed
-// window (piecewise-constant between accruals); the power budgeter samples
-// this instead of keeping its own model.
+// window (piecewise-constant between accruals); the coordinated governor's
+// power cap samples this instead of keeping its own model.
 func (m *Meter) Watts(island string) float64 {
 	mi, ok := m.byName[island]
 	if !ok {

@@ -51,6 +51,11 @@ type EnergyConfig struct {
 	// maximum (the state the island boots in).
 	X86Table []energy.OperatingPoint
 	IXPTable []energy.OperatingPoint
+
+	// CapWatts, when positive, is a platform power cap the coordinated
+	// governor holds against the metered watts before it weighs QoS. It
+	// requires Governor energy.ModeCoordinated.
+	CapWatts float64
 }
 
 func (c *EnergyConfig) applyDefaults() {
@@ -163,9 +168,8 @@ func (p *Platform) enableEnergy(cfg EnergyConfig) {
 	p.X86DVFS, p.IXPDVFS = x86m, ixpm
 
 	// Both DVFS agents are management-interface endpoints co-located with
-	// the controller in Dom0 (the same placement as the power-cap
-	// actuator): the Tune path still crosses the controller, so routing
-	// counters, epochs, and flight sends all see DVFS traffic.
+	// the controller in Dom0: the Tune path still crosses the controller,
+	// so routing counters, epochs, and flight sends all see DVFS traffic.
 	route := p.Controller.Route
 	registerIsland := p.Controller.RegisterIsland
 	registerEntity := p.Controller.RegisterEntity
@@ -218,8 +222,10 @@ func (p *Platform) enableEnergy(cfg EnergyConfig) {
 			Target:     cfg.QoSTargetP95,
 			X86:        x86m,
 			IXP:        ixpm,
-			X86Util:    x86UtilFn(s, p.HV),
 			IXPUtil:    ixpUtilFn(s, p.IXP),
+			CapWatts:   cfg.CapWatts,
+			X86Watts:   func() float64 { return p.EnergyMeter.Watts(X86Island) },
+			IXPWatts:   func() float64 { return p.EnergyMeter.Watts(IXPIsland) },
 			TuneX86:    func(delta int) { p.X86Agent.SendTune(X86DVFSIsland, EnergyEntityX86, delta) },
 			TuneIXP:    func(delta int) { p.X86Agent.SendTune(IXPDVFSIsland, EnergyEntityIXP, delta) },
 			TriggerX86: func() { p.X86Agent.SendTrigger(X86DVFSIsland, EnergyEntityX86) },

@@ -135,6 +135,14 @@ func (c *Config) validate() error {
 	if c.Breaker != nil && !c.Reliable {
 		return fmt.Errorf("Breaker set without Reliable; the breaker guards the reliable endpoints' send path")
 	}
+	if e := c.Energy; e != nil {
+		if e.CapWatts < 0 {
+			return fmt.Errorf("Energy.CapWatts %v is negative", e.CapWatts)
+		}
+		if e.CapWatts > 0 && e.Governor != energy.ModeCoordinated {
+			return fmt.Errorf("Energy.CapWatts set with governor %q; only the %q governor holds a cap", e.Governor, energy.ModeCoordinated)
+		}
+	}
 	return nil
 }
 

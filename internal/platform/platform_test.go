@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/energy"
 	"repro/internal/flight"
 	"repro/internal/overload"
 	"repro/internal/sim"
@@ -179,8 +180,9 @@ func TestPlatformTracing(t *testing.T) {
 	}
 }
 
-// TestNewRejectsContradictoryConfig: settings that contradict each other
-// panic with a diagnosable message instead of one being silently ignored.
+// TestNewRejectsContradictoryConfig: settings that are invalid or
+// contradict each other panic with a diagnosable message instead of one
+// being silently ignored.
 func TestNewRejectsContradictoryConfig(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -188,6 +190,8 @@ func TestNewRejectsContradictoryConfig(t *testing.T) {
 		want string
 	}{
 		{"breaker without reliable", Config{Breaker: &overload.BreakerConfig{}}, "Breaker"},
+		{"negative cap", Config{Energy: &EnergyConfig{Governor: energy.ModeCoordinated, CapWatts: -1}}, "CapWatts"},
+		{"cap without coordinated governor", Config{Energy: &EnergyConfig{Governor: energy.ModeOndemand, CapWatts: 120}}, "CapWatts"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -198,5 +202,37 @@ func TestNewRejectsContradictoryConfig(t *testing.T) {
 			}()
 			New(tc.cfg)
 		})
+	}
+}
+
+// TestCapRestoresWhenLoadDrops: under a platform cap the coordinated
+// governor slows the saturated x86 island, and once the CPU hogs stop it
+// restores the island to its top point.
+func TestCapRestoresWhenLoadDrops(t *testing.T) {
+	p := New(Config{Energy: &EnergyConfig{Governor: energy.ModeCoordinated, CapWatts: 120}})
+	loaded := true
+	for i := 0; i < 2; i++ {
+		g := p.AddGuest("hog", 256)
+		var next func()
+		next = func() {
+			if loaded {
+				g.SubmitFunc(5*sim.Millisecond, "hog", next)
+			}
+		}
+		next()
+	}
+	p.Sim.Ticker(p.EnergyCfg.Period, func() { p.EnergyGov.Step(0, 0) })
+
+	p.Sim.RunUntil(10 * sim.Second)
+	if p.X86DVFS.AtTop() {
+		t.Fatal("saturated platform over its cap kept x86 at its top point")
+	}
+	if w := p.EnergyMeter.PlatformWatts(); w > 120 {
+		t.Fatalf("platform draws %.1fW under a 120W cap", w)
+	}
+	loaded = false
+	p.Sim.RunUntil(20 * sim.Second)
+	if !p.X86DVFS.AtTop() {
+		t.Fatalf("x86 at %d MHz after the load stopped, want its top point", p.X86DVFS.Current().Level)
 	}
 }

@@ -218,7 +218,7 @@ func FormatPowerCap(r *PowerCapRun) string {
 	fmt.Fprintf(&b, "Extension: coordinated platform power capping\n")
 	fmt.Fprintf(&b, "cap=%.0fW uncapped=%.1fW steady=%.1fW over-cap periods=%d throttle actions=%d\n",
 		r.CapWatts, r.UncappedWatts, r.SteadyWatts, r.OverCapPeriods, r.ThrottleActions)
-	fmt.Fprintf(&b, "final guest CPU caps: %v\n", r.FinalGuestCaps)
+	fmt.Fprintf(&b, "final operating points: x86 %d MHz, IXP %d pools\n", r.FinalX86MHz, r.FinalIXPPools)
 	return b.String()
 }
 

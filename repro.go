@@ -20,7 +20,8 @@
 //     contribution)
 //   - internal/platform: the assembled two-island testbed
 //   - internal/rubis, internal/mplayer: the two benchmark workloads
-//   - internal/power: the platform power-cap extension
+//   - internal/energy: DVFS, the energy meter and the coordinated
+//     governor, which also holds the platform power cap
 //
 // All runners are pure functions of their configuration: the same seed
 // always yields the same numbers.
