@@ -111,10 +111,6 @@ const (
 	IXPPoll     uint8 = 1 // flow poll interval changed; Arg = new interval (ns)
 	IXPGateShed uint8 = 2 // early-admission gate shed a packet; Arg = packet ID
 	IXPShedRate uint8 = 3 // per-class shedder rate adjusted; Arg = delta units
-
-	// IXPClassifier: Rx classifier-thread pool resized; Entity = -1 (the
-	// pool is shared, not per-flow), Arg = new pool size.
-	IXPClassifier uint8 = 4
 )
 
 // Sub-type codes for CatAdmit events; Arg carries the overload.Class.
@@ -279,8 +275,6 @@ func (e Event) payload() string {
 			return fmt.Sprintf("gate-shed flow=%d pkt=%d", e.Entity, e.Arg)
 		case IXPShedRate:
 			return fmt.Sprintf("shed-rate %s delta=%+d", e.Label, e.Arg)
-		case IXPClassifier:
-			return fmt.Sprintf("classifier-threads n=%d", e.Arg)
 		default:
 			return fmt.Sprintf("ixp(%d) flow=%d arg=%d", e.Code, e.Entity, e.Arg)
 		}

@@ -4,9 +4,12 @@
 //
 // The model keeps the pieces the paper's coordination schemes depend on:
 //
-//   - a receive pipeline (Rx microengine threads + classifier) that performs
-//     deep packet inspection and steers packets into per-VM flow queues
-//     backed by IXP DRAM buffers;
+//   - one packet-queue type, FlowQueue, served by a pool of poll-driven
+//     worker threads. The Rx ring (classifier threads running deep packet
+//     inspection), the per-VM flow queues in DRAM (dequeue threads) and
+//     the Tx queue (transmit threads) are all FlowQueues; they differ only
+//     in per-packet cost, where a serviced packet goes, and whether the
+//     host-ring gate holds them;
 //   - a software weighted scheduler on top of the hardware round-robin
 //     thread switching: each flow queue is served by a configurable number
 //     of dequeue threads with a configurable polling interval, which is the
@@ -18,9 +21,9 @@
 //   - the XScale control core where the IXP-side coordination agent runs
 //     (flow-state tracking, buffer watermark monitoring).
 //
-// Microengine arithmetic (16 MEs x 8 threads @ 1.4 GHz) bounds how many
-// threads the scheduler may hand out; per-packet costs are expressed as
-// thread-occupancy times derived from cycle counts at that clock.
+// Microengine arithmetic (14 schedulable MEs x 8 threads) is a single
+// thread budget every queue's workers draw from; per-packet costs are
+// thread-occupancy times derived from cycle counts at the 1.4 GHz clock.
 package ixp
 
 import (
@@ -59,11 +62,12 @@ func Cycles(n int) sim.Time {
 	return sim.Time(float64(n) / ClockHz * float64(sim.Second))
 }
 
-// classifierThreads is the Rx classification pool size at boot.
-const classifierThreads = 8
-
-// txCost is the per-packet transmit cost to the wire (~0.7us).
-var txCost = TxProfile.ServiceTime()
+// Worker pools provisioned at boot: the Tx queue's transmit threads and
+// the Rx ring's classifier threads. Neither is resized afterwards.
+const (
+	txThreads         = 2
+	classifierThreads = 8
+)
 
 // Config tunes the IXP model. Zero fields take defaults chosen to
 // approximate the prototype.
@@ -125,19 +129,16 @@ type IXP struct {
 	toHost   func(*netsim.Packet)
 	hostGate func() bool // true when the host message ring is full
 
-	rx      *rxStage   // wire -> classification stage
+	rx      *FlowQueue // wire -> classification (the Rx ring in SRAM)
 	txq     *FlowQueue // host -> wire transmit queue
-	toWire  func(*netsim.Packet)
-	threads int    // threads currently allocated (rx flows + tx)
-	mes     *MEMap // thread placement onto physical microengines
+	wire    func(*netsim.Packet)
+	threads int // worker threads allocated across every queue
 
 	// activePools is the number of ungated microengine pools (the energy
 	// plane's actuation). Per-packet costs scale by NumMEPools/activePools;
 	// with every pool active the scaling is the exact identity.
 	//lint:decision
 	activePools int
-
-	txThreads int
 
 	rxSeen    uint64
 	rxDropped uint64
@@ -158,22 +159,16 @@ func New(s *sim.Simulator, cfg Config, hostChan *pcie.Channel, deliver func(*net
 		activePools: NumMEPools,
 	}
 	x.xsc = newXScale(x)
-	x.mes = NewMEMap()
-	x.txThreads = 2
-	x.threads = x.txThreads
-	if err := x.mes.Assign(x.txThreads); err != nil {
-		panic(fmt.Sprintf("ixp: assigning Tx microengine threads: %v", err))
+	x.txq = newFlowQueue(x, -1, cfg.BufferBytes, TxProfile.ServiceTime(), x.toWire, false)
+	x.rx = newFlowQueue(x, -1, cfg.RxRingBytes, cfg.ClassifyCost, x.classify, false)
+	// Tx workers spawn before the classifier pool; the order fixes the
+	// event sequence of every run.
+	if err := x.resize(x.txq, txThreads); err != nil {
+		panic(fmt.Sprintf("ixp: provisioning Tx threads: %v", err))
 	}
-	x.txq = newFlowQueue(x, -1, cfg.BufferBytes)
-	//lint:allow tapcover(construction-time provisioning; the flight recorder is not attached yet and replay starts from the constructed state)
-	x.txq.setThreads(x.txThreads)
-	x.rx = newRxStage(x, cfg.RxRingBytes)
-	if err := x.mes.Assign(classifierThreads); err != nil {
-		panic(fmt.Sprintf("ixp: assigning classifier microengine threads: %v", err))
+	if err := x.resize(x.rx, classifierThreads); err != nil {
+		panic(fmt.Sprintf("ixp: provisioning classifier threads: %v", err))
 	}
-	x.threads += classifierThreads
-	//lint:allow tapcover(construction-time provisioning; the flight recorder is not attached yet and replay starts from the constructed state)
-	x.rx.setThreads(classifierThreads)
 	return x
 }
 
@@ -209,7 +204,7 @@ func (x *IXP) RegisterFlow(vmID int) *FlowQueue {
 	if _, ok := x.flows[vmID]; ok {
 		panic(fmt.Sprintf("ixp: flow for VM %d already registered", vmID))
 	}
-	q := newFlowQueue(x, vmID, x.cfg.BufferBytes)
+	q := newFlowQueue(x, vmID, x.cfg.BufferBytes, x.cfg.DequeueCost, x.deliverToHost, true)
 	x.flows[vmID] = q
 	x.flowOrder = append(x.flowOrder, vmID)
 	if err := x.SetFlowThreads(vmID, x.cfg.ThreadsPerFlow); err != nil {
@@ -224,7 +219,8 @@ func (x *IXP) Flow(vmID int) *FlowQueue { return x.flows[vmID] }
 // Flows returns the registered VM IDs in registration order.
 func (x *IXP) Flows() []int { return x.flowOrder }
 
-// ThreadsAllocated returns the total dequeue/tx threads currently assigned.
+// ThreadsAllocated returns the worker threads allocated across every queue
+// (classifier, dequeue and transmit) against MaxSchedulableThreads.
 func (x *IXP) ThreadsAllocated() int { return x.threads }
 
 // SetFlowThreads changes the number of dequeue threads serving vmID's flow
@@ -238,22 +234,23 @@ func (x *IXP) SetFlowThreads(vmID, n int) error {
 	if n < 1 {
 		return fmt.Errorf("ixp: flow threads must be >= 1, got %d", n)
 	}
+	return x.resize(q, n)
+}
+
+// resize sets q's worker pool to n threads, charging the difference to the
+// microengine thread budget, and taps the change into the flight log.
+func (x *IXP) resize(q *FlowQueue, n int) error {
 	delta := n - q.threads
-	if delta > 0 {
-		if err := x.mes.Assign(delta); err != nil {
-			return err
-		}
-	} else if delta < 0 {
-		if err := x.mes.Release(-delta); err != nil {
-			return err
-		}
+	if x.threads+delta > MaxSchedulableThreads {
+		return fmt.Errorf("ixp: microengine pool exhausted (%d + %d > %d)",
+			x.threads, delta, MaxSchedulableThreads)
 	}
 	x.threads += delta
 	q.setThreads(n)
 	if x.rec != nil && delta != 0 {
 		x.rec.Record(flight.Event{
 			T: x.sim.Now(), Cat: flight.CatIXP, Code: flight.IXPThreads,
-			Label: "ixp", Entity: int32(vmID), Arg: int64(n),
+			Label: "ixp", Entity: int32(q.vmID), Arg: int64(n),
 		})
 	}
 	return nil
@@ -322,10 +319,6 @@ func (x *IXP) scaledCost(c sim.Time) sim.Time {
 	return c * sim.Time(NumMEPools) / sim.Time(x.activePools)
 }
 
-// MEOccupancy returns the per-microengine thread placement (-1 marks the
-// engines reserved for the PCI-Rx/PCI-Tx functions).
-func (x *IXP) MEOccupancy() [NumMicroengines]int { return x.mes.Occupancy() }
-
 // FlowThreads returns the dequeue threads currently serving vmID, or 0.
 func (x *IXP) FlowThreads(vmID int) int {
 	if q, ok := x.flows[vmID]; ok {
@@ -347,6 +340,45 @@ func (x *IXP) Receive(p *netsim.Packet) {
 	// which pays ClassifyCost, runs the DPI hooks, and steers it into its
 	// flow queue.
 	if !x.rx.enqueue(p) {
+		x.rxDropped++
+	}
+}
+
+// RxStageDrops returns packets tail-dropped at the Rx ring before
+// classification.
+func (x *IXP) RxStageDrops() uint64 { return x.rx.drops }
+
+// classify runs the admission gate and the DPI hooks on a packet leaving
+// the Rx ring and steers it into its flow queue.
+func (x *IXP) classify(p *netsim.Packet) {
+	// The admission gate runs before the DPI hooks: a shed packet is
+	// invisible to the coordination policies' request accounting (its
+	// bounce bypasses the Tx DPIs too, so outstanding-load bookkeeping
+	// stays balanced) and never consumes PCIe or host resources.
+	if x.admit != nil {
+		if resp, ok := x.admit(p); !ok {
+			x.rxShed++
+			if x.rec != nil {
+				x.rec.Record(flight.Event{
+					T: x.sim.Now(), Cat: flight.CatIXP, Code: flight.IXPGateShed,
+					Label: "ixp", Entity: int32(p.DstVM), Arg: int64(p.ID),
+				})
+			}
+			if resp != nil && !x.txq.enqueue(resp) {
+				x.rxDropped++
+			}
+			return
+		}
+	}
+	for _, d := range x.dpis {
+		d(p)
+	}
+	q, ok := x.flows[p.DstVM]
+	if !ok {
+		x.rxDropped++
+		return
+	}
+	if !q.enqueue(p) {
 		x.rxDropped++
 	}
 }
@@ -375,9 +407,16 @@ func (x *IXP) TransmitFromHost(p *netsim.Packet) {
 	}
 }
 
+// toWire hands a transmitted packet to the egress callback.
+func (x *IXP) toWire(p *netsim.Packet) {
+	if x.wire != nil {
+		x.wire(p)
+	}
+}
+
 // ConnectWire installs the egress callback (packets leaving toward external
 // clients).
-func (x *IXP) ConnectWire(fn func(*netsim.Packet)) { x.toWire = fn }
+func (x *IXP) ConnectWire(fn func(*netsim.Packet)) { x.wire = fn }
 
 // ConnectHostGate installs a host-ring-full predicate. While it returns
 // true, dequeue threads stop DMAing descriptors and packets accumulate in

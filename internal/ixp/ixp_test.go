@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -177,6 +178,46 @@ func TestThreadBudgetAccounting(t *testing.T) {
 	}
 	if got := x.ThreadsAllocated(); got != base+3 {
 		t.Fatalf("ThreadsAllocated after shrink = %d, want %d", got, base+3)
+	}
+}
+
+// TestMEMapCapacity fills the microengine pool across several flows to
+// exactly (NumMicroengines-reservedMEs)*ThreadsPerME threads, checks that
+// one more thread on any flow is refused, and that shrinking every flow
+// hands the threads back.
+func TestMEMapCapacity(t *testing.T) {
+	s := sim.New(1)
+	x, _ := newTestIXP(s, Config{ThreadsPerFlow: 1})
+	boot := x.ThreadsAllocated()
+	const flows = 4
+	for vm := 1; vm <= flows; vm++ {
+		x.RegisterFlow(vm)
+	}
+	free := MaxSchedulableThreads - boot
+	for vm := 1; vm <= flows; vm++ {
+		n := free / flows
+		if vm == flows {
+			n = free - (flows-1)*(free/flows)
+		}
+		if err := x.SetFlowThreads(vm, n); err != nil {
+			t.Fatalf("flow %d to %d threads: %v", vm, n, err)
+		}
+	}
+	if got := x.ThreadsAllocated(); got != (NumMicroengines-reservedMEs)*ThreadsPerME {
+		t.Fatalf("ThreadsAllocated = %d at full pool", got)
+	}
+	for vm := 1; vm <= flows; vm++ {
+		if err := x.SetFlowThreads(vm, x.FlowThreads(vm)+1); err == nil {
+			t.Fatalf("flow %d: overflow accepted", vm)
+		}
+	}
+	for vm := 1; vm <= flows; vm++ {
+		if err := x.SetFlowThreads(vm, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := x.ThreadsAllocated(); got != boot+flows {
+		t.Fatalf("ThreadsAllocated = %d after release, want %d", got, boot+flows)
 	}
 }
 
@@ -374,63 +415,59 @@ func TestInvalidPacketPanics(t *testing.T) {
 }
 
 func TestClassifierStageBounds(t *testing.T) {
+	// Slow classification: the fixed classifier pool caps throughput at
+	// about one packet per thread per ClassifyCost.
 	s := sim.New(1)
-	// One classifier thread with slow classification: throughput capped.
 	x, got := newTestIXP(s, Config{
 		ClassifyCost: 1 * sim.Millisecond,
 		RxRingBytes:  10 << 20,
 		BufferBytes:  10 << 20,
 	})
-	if err := x.SetClassifierThreads(1); err != nil {
-		t.Fatal(err)
-	}
 	x.RegisterFlow(1)
-	for i := uint64(0); i < 100; i++ {
+	for i := uint64(0); i < 400; i++ {
 		x.Receive(pkt(i, 1, 500))
 	}
 	s.RunUntil(20 * sim.Millisecond)
-	// ~20 packets in 20ms at 1ms each.
-	if n := len(*got); n < 15 || n > 25 {
-		t.Fatalf("1 thread classified %d in 20ms, want ~20", n)
+	// ~20 packets per thread in 20ms at 1ms each.
+	if n := len(*got); n < 15*classifierThreads || n > 25*classifierThreads {
+		t.Fatalf("%d classifier threads delivered %d in 20ms, want ~%d",
+			classifierThreads, n, 20*classifierThreads)
 	}
-	// Four threads roughly quadruple it.
-	s2 := sim.New(1)
-	x2, got2 := newTestIXP(s2, Config{
-		ClassifyCost: 1 * sim.Millisecond,
-		RxRingBytes:  10 << 20,
-		BufferBytes:  10 << 20,
-	})
-	if err := x2.SetClassifierThreads(4); err != nil {
-		t.Fatal(err)
-	}
-	x2.RegisterFlow(1)
-	for i := uint64(0); i < 100; i++ {
-		x2.Receive(pkt(i, 1, 500))
-	}
-	s2.RunUntil(20 * sim.Millisecond)
-	if n := len(*got2); n < 3*len(*got) {
-		t.Fatalf("4 threads classified %d vs %d with 1", n, len(*got))
+	if x.rx.Len() == 0 {
+		t.Fatal("Rx ring drained despite the classifier bound")
 	}
 }
 
 func TestClassifierThreadAccounting(t *testing.T) {
 	s := sim.New(1)
 	x, _ := newTestIXP(s, Config{})
-	if got := x.ClassifierThreads(); got != 8 {
-		t.Fatalf("default classifier threads = %d, want 8", got)
+	if got := x.rx.Threads(); got != classifierThreads {
+		t.Fatalf("classifier threads = %d, want %d", got, classifierThreads)
 	}
-	base := x.ThreadsAllocated()
-	if err := x.SetClassifierThreads(12); err != nil {
+	// The classifier and Tx pools draw on the same budget as the flows.
+	if got := x.ThreadsAllocated(); got != txThreads+classifierThreads {
+		t.Fatalf("ThreadsAllocated at boot = %d, want %d", got, txThreads+classifierThreads)
+	}
+	x.RegisterFlow(1)
+	full := MaxSchedulableThreads - txThreads - classifierThreads
+	if err := x.SetFlowThreads(1, full); err != nil {
+		t.Fatalf("filling the budget exactly: %v", err)
+	}
+	if got := x.ThreadsAllocated(); got != MaxSchedulableThreads {
+		t.Fatalf("ThreadsAllocated = %d, want %d", got, MaxSchedulableThreads)
+	}
+	err := x.SetFlowThreads(1, full+1)
+	if err == nil || !strings.Contains(err.Error(), "microengine pool exhausted") {
+		t.Fatalf("budget overflow: got %v", err)
+	}
+	if x.FlowThreads(1) != full || x.ThreadsAllocated() != MaxSchedulableThreads {
+		t.Fatal("a refused resize changed the allocation")
+	}
+	if err := x.SetFlowThreads(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := x.ThreadsAllocated(); got != base+4 {
-		t.Fatalf("ThreadsAllocated = %d, want %d", got, base+4)
-	}
-	if err := x.SetClassifierThreads(0); err == nil {
-		t.Fatal("zero classifier threads accepted")
-	}
-	if err := x.SetClassifierThreads(MaxSchedulableThreads); err == nil {
-		t.Fatal("budget overflow accepted")
+	if got := x.ThreadsAllocated(); got != txThreads+classifierThreads+1 {
+		t.Fatalf("ThreadsAllocated after release = %d", got)
 	}
 }
 

@@ -1,26 +1,12 @@
 package ixp
 
-import (
-	"fmt"
+import "repro/internal/sim"
 
-	"repro/internal/sim"
-)
-
-// The IXP2850's memory hierarchy (§2.1 of the paper): each microengine has
-// 640 words of local memory and 256 general-purpose registers; 16 KB of
-// scratchpad, 256 MB of external SRAM (packet descriptor queues), and
-// 256 MB of external DRAM (packet payload) are shared, with increasing
-// access latencies at each level.
-const (
-	LocalMemWords  = 640
-	GPRsPerME      = 256
-	ScratchpadSize = 16 << 10
-	SRAMSize       = 256 << 20
-	DRAMSize       = 256 << 20
-)
-
-// Access latencies per level in microengine cycles (representative values
-// from the IXP2xxx programmer documentation).
+// The IXP2850's memory hierarchy (§2.1 of the paper): microengine local
+// memory, a shared scratchpad, external SRAM (packet descriptor queues) and
+// external DRAM (packet payload), with increasing access latencies at each
+// level. Access latencies per level in microengine cycles (representative
+// values from the IXP2xxx programmer documentation):
 const (
 	LocalMemCycles   = 3
 	ScratchpadCycles = 60
@@ -29,10 +15,8 @@ const (
 )
 
 // AccessProfile characterizes one packet-processing task's footprint: pure
-// compute cycles plus per-level memory references. The hardware switches a
-// microengine to the next ready thread on every memory reference, so the
-// profile determines both a single thread's service time and how well
-// additional threads hide the memory latency.
+// compute cycles plus per-level memory references, which together set one
+// thread's per-packet service time.
 type AccessProfile struct {
 	ComputeCycles int
 	LocalRefs     int
@@ -55,57 +39,6 @@ func (p AccessProfile) TotalCycles() int { return p.ComputeCycles + p.MemoryCycl
 
 // ServiceTime returns one thread's per-packet occupancy as simulated time.
 func (p AccessProfile) ServiceTime() sim.Time { return Cycles(p.TotalCycles()) }
-
-// METhroughput returns the packets/second one microengine sustains with
-// the given number of threads running this profile. Hardware round-robin
-// switching on memory references overlaps one thread's stalls with
-// another's compute, so throughput scales with threads until the compute
-// pipeline saturates:
-//
-//	min(t / (compute+memory), 1 / compute) packets per cycle.
-func (p AccessProfile) METhroughput(threads int) float64 {
-	if threads <= 0 {
-		return 0
-	}
-	total := float64(p.TotalCycles())
-	if total == 0 {
-		return 0
-	}
-	latencyBound := float64(threads) / total
-	computeBound := 1.0 / float64(p.ComputeCycles)
-	perCycle := latencyBound
-	if p.ComputeCycles > 0 && computeBound < perCycle {
-		perCycle = computeBound
-	}
-	return perCycle * ClockHz
-}
-
-// SaturationThreads returns the thread count at which the microengine's
-// compute pipeline saturates for this profile (more threads add nothing).
-func (p AccessProfile) SaturationThreads() int {
-	if p.ComputeCycles <= 0 {
-		return ThreadsPerME
-	}
-	n := (p.TotalCycles() + p.ComputeCycles - 1) / p.ComputeCycles
-	if n > ThreadsPerME {
-		n = ThreadsPerME
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Validate reports an error for nonsensical profiles.
-func (p AccessProfile) Validate() error {
-	if p.ComputeCycles < 0 || p.LocalRefs < 0 || p.ScratchRefs < 0 || p.SRAMRefs < 0 || p.DRAMRefs < 0 {
-		return fmt.Errorf("ixp: negative fields in access profile %+v", p)
-	}
-	if p.TotalCycles() == 0 {
-		return fmt.Errorf("ixp: empty access profile")
-	}
-	return nil
-}
 
 // Standard task profiles for the pipeline stages of Figure 3. The derived
 // service times set the Config defaults.

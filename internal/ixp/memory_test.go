@@ -2,7 +2,6 @@ package ixp
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 )
@@ -21,58 +20,12 @@ func TestAccessProfileCycles(t *testing.T) {
 	}
 }
 
-func TestMEThroughputScalesUntilSaturation(t *testing.T) {
-	p := AccessProfile{ComputeCycles: 200, SRAMRefs: 8} // mem = 720, total = 920
-	one := p.METhroughput(1)
-	two := p.METhroughput(2)
-	if two < 1.9*one {
-		t.Fatalf("two threads should ~double latency-bound throughput: %.0f vs %.0f", one, two)
-	}
-	sat := p.SaturationThreads() // ceil(920/200) = 5
-	if sat != 5 {
-		t.Fatalf("SaturationThreads = %d, want 5", sat)
-	}
-	atSat := p.METhroughput(sat)
-	beyond := p.METhroughput(ThreadsPerME)
-	if beyond > atSat*1.01 {
-		t.Fatalf("throughput grew past saturation: %.0f -> %.0f", atSat, beyond)
-	}
-	// Compute-bound ceiling is clock/compute.
-	if want := ClockHz / 200; beyond > want*1.01 || beyond < want*0.99 {
-		t.Fatalf("saturated throughput = %.0f, want ~%.0f", beyond, want)
-	}
-	if p.METhroughput(0) != 0 {
-		t.Fatal("zero threads should yield zero throughput")
-	}
-}
-
-func TestMEThroughputMonotoneQuick(t *testing.T) {
-	f := func(compute, sram uint8) bool {
-		p := AccessProfile{ComputeCycles: int(compute) + 1, SRAMRefs: int(sram)}
-		prev := 0.0
-		for th := 1; th <= ThreadsPerME; th++ {
-			cur := p.METhroughput(th)
-			if cur < prev-1e-6 {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStandardProfilesValid(t *testing.T) {
 	for name, p := range map[string]AccessProfile{
 		"classify": ClassifyProfile,
 		"dequeue":  DequeueProfile,
 		"tx":       TxProfile,
 	} {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
 		// Stage service times stay in the sub-2us band the pipeline was
 		// calibrated against.
 		if st := p.ServiceTime(); st < 200*sim.Nanosecond || st > 2*sim.Microsecond {
@@ -82,131 +35,5 @@ func TestStandardProfilesValid(t *testing.T) {
 	// DPI is the most expensive stage.
 	if ClassifyProfile.TotalCycles() <= DequeueProfile.TotalCycles() {
 		t.Error("classification should cost more than dequeue")
-	}
-}
-
-func TestAccessProfileValidate(t *testing.T) {
-	if (AccessProfile{}).Validate() == nil {
-		t.Fatal("empty profile validated")
-	}
-	if (AccessProfile{ComputeCycles: -1, SRAMRefs: 1}).Validate() == nil {
-		t.Fatal("negative profile validated")
-	}
-}
-
-func TestMEMapAssignRelease(t *testing.T) {
-	m := NewMEMap()
-	if m.Allocated() != 0 {
-		t.Fatalf("fresh map allocated = %d", m.Allocated())
-	}
-	occ := m.Occupancy()
-	for i := 0; i < reservedMEs; i++ {
-		if occ[i] != -1 {
-			t.Fatalf("ME %d not reserved", i)
-		}
-	}
-	if err := m.Assign(14); err != nil {
-		t.Fatal(err)
-	}
-	// First-fit least-loaded: 14 threads spread one per available ME.
-	if m.MaxOccupancy() != 1 {
-		t.Fatalf("MaxOccupancy = %d after spreading 14 threads", m.MaxOccupancy())
-	}
-	if err := m.Assign(14); err != nil {
-		t.Fatal(err)
-	}
-	if m.MaxOccupancy() != 2 {
-		t.Fatalf("MaxOccupancy = %d after 28 threads", m.MaxOccupancy())
-	}
-	if err := m.Release(20); err != nil {
-		t.Fatal(err)
-	}
-	if m.Allocated() != 8 {
-		t.Fatalf("Allocated = %d after release", m.Allocated())
-	}
-	if err := m.Release(9); err == nil {
-		t.Fatal("over-release accepted")
-	}
-	if err := m.Assign(-1); err == nil {
-		t.Fatal("negative assign accepted")
-	}
-}
-
-func TestMEMapCapacity(t *testing.T) {
-	m := NewMEMap()
-	if err := m.Assign(MaxSchedulableThreads); err != nil {
-		t.Fatal(err)
-	}
-	if m.MaxOccupancy() != ThreadsPerME {
-		t.Fatalf("MaxOccupancy = %d at full pool", m.MaxOccupancy())
-	}
-	if err := m.Assign(1); err == nil {
-		t.Fatal("overflow accepted")
-	}
-	if err := m.Release(MaxSchedulableThreads); err != nil {
-		t.Fatal(err)
-	}
-	if m.Allocated() != 0 {
-		t.Fatalf("Allocated = %d after full release", m.Allocated())
-	}
-}
-
-func TestMEMapInvariantQuick(t *testing.T) {
-	// Any interleaving of valid assigns/releases keeps 0 <= occupancy <= 8
-	// per ME and the total consistent.
-	f := func(ops []int8) bool {
-		m := NewMEMap()
-		total := 0
-		for _, op := range ops {
-			n := int(op)
-			if n >= 0 {
-				if total+n <= MaxSchedulableThreads && m.Assign(n) == nil {
-					total += n
-				}
-			} else {
-				n = -n
-				if n <= total && m.Release(n) == nil {
-					total -= n
-				}
-			}
-			if m.Allocated() != total {
-				return false
-			}
-			occ := m.Occupancy()
-			for i := reservedMEs; i < NumMicroengines; i++ {
-				if occ[i] < 0 || occ[i] > ThreadsPerME {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIXPTracksMEOccupancy(t *testing.T) {
-	s := sim.New(1)
-	x, _ := newTestIXP(s, Config{ThreadsPerFlow: 2})
-	x.RegisterFlow(1)
-	occ := x.MEOccupancy()
-	total := 0
-	for i := reservedMEs; i < NumMicroengines; i++ {
-		total += occ[i]
-	}
-	if total != x.ThreadsAllocated() {
-		t.Fatalf("ME occupancy total %d != ThreadsAllocated %d", total, x.ThreadsAllocated())
-	}
-	if err := x.SetFlowThreads(1, 10); err != nil {
-		t.Fatal(err)
-	}
-	occ = x.MEOccupancy()
-	total = 0
-	for i := reservedMEs; i < NumMicroengines; i++ {
-		total += occ[i]
-	}
-	if total != x.ThreadsAllocated() {
-		t.Fatalf("ME occupancy total %d != ThreadsAllocated %d after grow", total, x.ThreadsAllocated())
 	}
 }

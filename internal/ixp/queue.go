@@ -5,14 +5,20 @@ import (
 	"repro/internal/sim"
 )
 
-// FlowQueue is a per-VM packet queue in IXP DRAM, served by a configurable
-// number of dequeue threads (the weighted-scheduling knob of §2.1). The
-// special transmit queue uses vmID -1 and delivers to the wire instead of
-// the host.
+// FlowQueue is a packet queue in IXP memory served by a pool of
+// poll-driven worker threads — the weighted-scheduling knob of §2.1. Every
+// queue on the island is one: the Rx ring ahead of classification, the
+// per-VM flow queues in DRAM, and the Tx queue toward the wire. They
+// differ only in what is fixed when they are built: the per-packet cost,
+// where a serviced packet goes, and whether the host-ring gate holds them.
 type FlowQueue struct {
 	x        *IXP
-	vmID     int
+	vmID     int // destination VM; -1 for the Rx ring and the Tx queue
 	capBytes int
+
+	cost  sim.Time             // per-packet service cost with every pool active
+	serve func(*netsim.Packet) // destination of a serviced packet
+	gated bool                 // hold packets while the host ring is full
 
 	pkts  []*netsim.Packet
 	bytes int
@@ -33,30 +39,30 @@ type FlowQueue struct {
 	maxBytes        int
 }
 
-func newFlowQueue(x *IXP, vmID, capBytes int) *FlowQueue {
-	return &FlowQueue{x: x, vmID: vmID, capBytes: capBytes, watermarkArmed: true}
+func newFlowQueue(x *IXP, vmID, capBytes int, cost sim.Time, serve func(*netsim.Packet), gated bool) *FlowQueue {
+	return &FlowQueue{x: x, vmID: vmID, capBytes: capBytes, cost: cost, serve: serve, gated: gated, watermarkArmed: true}
 }
 
-// VM returns the destination VM this queue serves (-1 for the tx queue).
+// VM returns the destination VM this queue serves (-1 for the Rx ring and
+// the Tx queue).
 func (q *FlowQueue) VM() int { return q.vmID }
 
 // Len returns the number of queued packets.
 func (q *FlowQueue) Len() int { return len(q.pkts) }
 
-// Bytes returns the current DRAM buffer occupancy in bytes.
+// Bytes returns the current buffer occupancy in bytes.
 func (q *FlowQueue) Bytes() int { return q.bytes }
 
 // MaxBytes returns the high-water mark of buffer occupancy.
 func (q *FlowQueue) MaxBytes() int { return q.maxBytes }
 
-// Capacity returns the queue's DRAM buffer capacity in bytes.
+// Capacity returns the queue's buffer capacity in bytes.
 func (q *FlowQueue) Capacity() int { return q.capBytes }
 
-// Threads returns the number of dequeue threads serving the queue.
+// Threads returns the number of worker threads serving the queue.
 func (q *FlowQueue) Threads() int { return q.threads }
 
-// PollInterval returns the queue's effective dequeue-thread polling
-// interval.
+// PollInterval returns the queue's effective worker polling interval.
 func (q *FlowQueue) PollInterval() sim.Time {
 	if q.poll > 0 {
 		return q.poll
@@ -67,7 +73,7 @@ func (q *FlowQueue) PollInterval() sim.Time {
 // Enqueued, Dequeued, and Dropped return lifetime packet counters.
 func (q *FlowQueue) Enqueued() uint64 { return q.enq }
 
-// Dequeued returns the number of packets the dequeue threads have serviced.
+// Dequeued returns the number of packets the worker threads have serviced.
 func (q *FlowQueue) Dequeued() uint64 { return q.deq }
 
 // Dropped returns packets tail-dropped on buffer overflow.
@@ -137,15 +143,14 @@ func (q *FlowQueue) spawn(id int) {
 	q.x.sim.After(0, func() { q.workerLoop(id) })
 }
 
-// workerLoop is one dequeue thread: pop a packet and service it, or poll
-// again after the polling interval. The service cost and delivery target
-// depend on the queue's direction.
+// workerLoop is one worker thread: pop a packet, pay the queue's service
+// cost and hand the packet on, or poll again after the polling interval.
 func (q *FlowQueue) workerLoop(id int) {
 	if id >= q.threads {
 		q.alive[id] = false // deallocated by a Tune action
 		return
 	}
-	if q.vmID != -1 && q.x.hostGate != nil && q.x.hostGate() {
+	if q.gated && q.x.hostGate != nil && q.x.hostGate() {
 		// Host message ring full: hold the descriptor in DRAM and re-poll.
 		q.x.sim.After(q.PollInterval(), func() { q.workerLoop(id) })
 		return
@@ -155,20 +160,8 @@ func (q *FlowQueue) workerLoop(id int) {
 		q.x.sim.After(q.PollInterval(), func() { q.workerLoop(id) })
 		return
 	}
-	var cost sim.Time
-	if q.vmID == -1 {
-		cost = txCost
-	} else {
-		cost = q.x.cfg.DequeueCost
-	}
-	q.x.sim.After(q.x.scaledCost(cost), func() {
-		if q.vmID == -1 {
-			if q.x.toWire != nil {
-				q.x.toWire(p)
-			}
-		} else {
-			q.x.deliverToHost(p)
-		}
+	q.x.sim.After(q.x.scaledCost(q.cost), func() {
+		q.serve(p)
 		q.workerLoop(id)
 	})
 }

@@ -44,9 +44,8 @@ var tapDecisionFields = map[string]string{
 	"repro/internal/xen.Domain.weight":      "credit-weight application",
 	"repro/internal/overload.Breaker.state": "breaker transition",
 	"repro/internal/overload.Shedder.rate":  "shed-rate change",
-	"repro/internal/ixp.FlowQueue.threads":  "flow dequeue-thread provisioning",
+	"repro/internal/ixp.FlowQueue.threads":  "queue worker-thread provisioning",
 	"repro/internal/ixp.FlowQueue.poll":     "flow poll-interval change",
-	"repro/internal/ixp.rxStage.threads":    "classifier-thread provisioning",
 }
 
 // tapMessageKinds are the core.Message kinds whose emission is a

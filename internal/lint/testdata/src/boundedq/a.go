@@ -24,7 +24,7 @@ func (c *capped) add(v int) bool {
 }
 
 // In-function guard via a capacity-named companion quantity (the IXP
-// rxStage pattern: bytes bounded, pkts rides along): allowed.
+// FlowQueue pattern: bytes bounded, pkts rides along): allowed.
 type byteBounded struct {
 	pkts     []int
 	bytes    int

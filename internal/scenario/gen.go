@@ -151,6 +151,8 @@ func (s GenSpec) Validate() error {
 		return fmt.Errorf("scenario: heavy fraction %g outside [0, 1]", s.HeavyFraction)
 	case s.Batch < 0:
 		return fmt.Errorf("scenario: negative batch size %d", s.Batch)
+	case s.Period < 0 || s.Think < 0 || s.UpdatePeriod < 0:
+		return fmt.Errorf("scenario: negative period %v, think time %v or update period %v", s.Period, s.Think, s.UpdatePeriod)
 	case s.ReadFraction < 0 || s.ScanFraction < 0 || s.ReadFraction+s.ScanFraction > 1:
 		return fmt.Errorf("scenario: kv fractions read=%g scan=%g must be nonnegative and sum to at most 1", s.ReadFraction, s.ScanFraction)
 	}
@@ -363,15 +365,41 @@ func genDiurnal(spec GenSpec, arrivals, classes, sessions *sim.Rand) []Req {
 	return reqs
 }
 
-func genHeavyTail(spec GenSpec, arrivals, classes, sessions *sim.Rand) []Req {
-	// Mean session length of a Pareto(min, alpha) is alpha*min/(alpha-1)
-	// for alpha > 1; at or below 1 the mean diverges, so the session
-	// arrival rate is pinned against a pragmatic 4x-min stand-in.
-	meanLen := spec.SessionMin * 4
-	if spec.Alpha > 1 {
-		meanLen = spec.Alpha * spec.SessionMin / (spec.Alpha - 1)
+// meanSessionLen is the heavy-tail mean session length in requests. The
+// mean of a Pareto(min, alpha) is alpha*min/(alpha-1) for alpha > 1; at
+// or below 1 it diverges, so a pragmatic 4x-min stand-in pins the session
+// arrival rate instead.
+func (s GenSpec) meanSessionLen() float64 {
+	if s.Alpha > 1 {
+		return s.Alpha * s.SessionMin / (s.Alpha - 1)
 	}
-	sessionRate := spec.Rate / meanLen
+	return s.SessionMin * 4
+}
+
+// Draws estimates how many arrivals Generate draws for the spec —
+// requests, session starts and model updates — which is what generating
+// the trace costs in memory. It is an upper estimate: the flash-crowd
+// spike counts at its peak rate for the whole span.
+func (s GenSpec) Draws() float64 {
+	s.applyDefaults()
+	sec := s.Duration.Seconds()
+	switch s.Kind {
+	case FlashCrowd:
+		return s.Rate * math.Max(1, s.SpikeFactor) * sec
+	case HeavyTail:
+		// Sessions shorter than one request on average outnumber the
+		// requests they carry.
+		return s.Rate * sec * math.Max(1, 1/s.meanSessionLen())
+	case MLServing:
+		return s.Rate*sec + sec/s.UpdatePeriod.Seconds()
+	case Diurnal, KVTier:
+		// Arrivals at (at most) the mean rate.
+	}
+	return s.Rate * sec
+}
+
+func genHeavyTail(spec GenSpec, arrivals, classes, sessions *sim.Rand) []Req {
+	sessionRate := spec.Rate / spec.meanSessionLen()
 	starts := poissonArrivals(arrivals, spec.Duration, sessionRate, func(sim.Time) float64 { return sessionRate })
 	names := HeavyTail.Classes() // browse, search, view, bid
 	weights := []float64{3, 1.5, 2, 1}

@@ -149,11 +149,42 @@ func TestGenSpecValidate(t *testing.T) {
 		{"negative alpha", GenSpec{Kind: HeavyTail, Duration: sim.Second, Alpha: -2}, "alpha"},
 		{"bad heavy fraction", GenSpec{Kind: MLServing, Duration: sim.Second, HeavyFraction: 2}, "heavy fraction"},
 		{"kv fractions", GenSpec{Kind: KVTier, Duration: sim.Second, ReadFraction: 0.9, ScanFraction: 0.3}, "kv fractions"},
+		// A negative update period would step model updates backwards forever.
+		{"negative update period", GenSpec{Kind: MLServing, Duration: sim.Second, UpdatePeriod: -sim.Second}, "update period"},
 	}
 	for _, tc := range cases {
 		_, err := Generate(tc.spec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestGenSpecDraws: the draw estimate bounds what Generate emits, and
+// counts the knobs that multiply arrivals (spike factor, sub-request
+// sessions, model-update cadence).
+func TestGenSpecDraws(t *testing.T) {
+	for _, k := range Kinds() {
+		spec := GenSpec{Kind: k, Duration: 20 * sim.Second, Rate: 30, Seed: 2}
+		tr, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := spec.Draws(); float64(len(tr.Reqs)) > 1.2*d {
+			t.Errorf("%s: generated %d requests, draw estimate %.0f", k, len(tr.Reqs), d)
+		}
+	}
+	base := GenSpec{Kind: Diurnal, Duration: 10 * sim.Second, Rate: 10}
+	if got := base.Draws(); got != 100 {
+		t.Errorf("diurnal draws = %g, want rate x seconds = 100", got)
+	}
+	for name, spec := range map[string]GenSpec{
+		"spike factor":     {Kind: FlashCrowd, Duration: 10 * sim.Second, Rate: 10, SpikeFactor: 1000},
+		"tiny sessions":    {Kind: HeavyTail, Duration: 10 * sim.Second, Rate: 10, SessionMin: 1e-6},
+		"update every 1us": {Kind: MLServing, Duration: 10 * sim.Second, Rate: 10, UpdatePeriod: sim.Microsecond},
+	} {
+		if got := spec.Draws(); got < 1000*base.Draws() {
+			t.Errorf("%s: draws = %g, want >= %g", name, got, 1000*base.Draws())
 		}
 	}
 }

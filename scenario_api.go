@@ -134,6 +134,9 @@ func (w *Workload) Validate() error {
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("repro: workload: %w", err)
 	}
+	if w.Batch > maxScenarioBatch {
+		return fmt.Errorf("repro: workload batch size %d over the cap of %d", w.Batch, maxScenarioBatch)
+	}
 	return nil
 }
 
@@ -201,10 +204,24 @@ type Scenario struct {
 	Energy   *EnergyControl   `json:"energy,omitempty"`
 }
 
+// Size caps on a valid scenario. A run's memory grows with its session
+// population, the requests its generator draws, its controller replicas
+// and its batch size; the caps keep every accepted spec affordable, so
+// the parser can be fuzzed for any budget. Each sits orders of magnitude
+// above the calibrated experiments (80 sessions x load 3, 40 req/s x 70 s,
+// 3 replicas, batches of 4).
+const (
+	maxScenarioSessions = 10_000    // closed-loop sessions x LoadFactor
+	maxScenarioRequests = 1_000_000 // generator draws, see scenario.GenSpec.Draws
+	maxScenarioReplicas = 16        // controller replicas, primary included
+	maxScenarioBatch    = 1024      // ml-serving requests per arrival batch
+)
+
 // Validate reports the first configuration error in the scenario:
 // unknown workload kinds, negative rates or loads, malformed fault
-// plans, overlapping fault windows, and unparsable shed policies are all
-// diagnosable errors here rather than panics at run time.
+// plans, overlapping fault windows, unparsable shed policies, and specs
+// over the size caps are all diagnosable errors here rather than panics
+// (or exhausted memory) at run time.
 func (s Scenario) Validate() error {
 	if s.Duration < 0 {
 		return fmt.Errorf("repro: scenario %q has negative duration %v", s.Name, s.Duration)
@@ -219,6 +236,9 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("repro: scenario %q has negative load factor %g", s.Name, s.LoadFactor)
 	}
 	if err := s.Workload.Validate(); err != nil {
+		return err
+	}
+	if err := s.validateSize(); err != nil {
 		return err
 	}
 	if s.Faults != nil {
@@ -237,10 +257,44 @@ func (s Scenario) Validate() error {
 	if s.Failover != nil && s.Failover.Replicas < 0 {
 		return fmt.Errorf("repro: scenario %q has negative replica count %d", s.Name, s.Failover.Replicas)
 	}
+	if s.Failover != nil && s.Failover.Replicas > maxScenarioReplicas {
+		return fmt.Errorf("repro: scenario %q asks for %d controller replicas, over the cap of %d",
+			s.Name, s.Failover.Replicas, maxScenarioReplicas)
+	}
 	if s.Energy != nil {
 		if _, err := s.Energy.internal(); err != nil {
 			return fmt.Errorf("repro: scenario %q: %w", s.Name, err)
 		}
+	}
+	return nil
+}
+
+// validateSize applies the session and request caps to a validated
+// workload: closed-loop sessions scaled by LoadFactor, or the arrivals a
+// generator draws over the run's duration.
+func (s Scenario) validateSize() error {
+	w := s.Workload
+	if w.closedLoop() {
+		sessions := float64(rubis.DefaultExperimentClient().Sessions)
+		if w != nil && w.Sessions > 0 {
+			sessions = float64(w.Sessions)
+		}
+		if s.LoadFactor > 0 {
+			sessions *= s.LoadFactor
+		}
+		if sessions > maxScenarioSessions {
+			return fmt.Errorf("repro: scenario %q runs %.0f closed-loop sessions (sessions x load factor), over the cap of %d",
+				s.Name, sessions, maxScenarioSessions)
+		}
+		return nil
+	}
+	if w.Kind == "trace" {
+		return nil
+	}
+	spec := w.genSpec(s.Seed, s.Duration)
+	if n := spec.Draws(); n > maxScenarioRequests {
+		return fmt.Errorf("repro: scenario %q: %s workload draws about %.0f arrivals over %v, over the cap of %d",
+			s.Name, w.Kind, n, spec.Duration, maxScenarioRequests)
 	}
 	return nil
 }

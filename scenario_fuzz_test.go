@@ -17,34 +17,8 @@ const fuzzScenarioMax = 2 * time.Second
 // RunScenario. No input may panic, and every spec ParseScenario accepts
 // must either run or fail to compile with a diagnosable error.
 func FuzzScenario(f *testing.F) {
-	specs, _ := filepath.Glob(filepath.Join("bench", "specs", "*.json"))
-	for _, path := range specs {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, data := range committedSpecs(f, fuzzScenarioMax) {
 		f.Add(data)
-	}
-	for _, s := range ScenarioCatalog(fuzzScenarioMax) {
-		data, err := json.Marshal(s)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	corpus, _ := filepath.Glob(filepath.Join("testdata", "chaos", "*.json"))
-	for _, path := range corpus {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var entry struct {
-			Scenario json.RawMessage `json:"scenario"`
-		}
-		if err := json.Unmarshal(data, &entry); err != nil {
-			f.Fatalf("%s: %v", path, err)
-		}
-		f.Add([]byte(entry.Scenario))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseScenario(data)
@@ -71,4 +45,44 @@ func FuzzScenario(f *testing.F) {
 			t.Fatal("RunScenario returned neither a run nor an error")
 		}
 	})
+}
+
+// committedSpecs returns the JSON of every committed scenario: the bench
+// specs, the scenario catalog for runs of duration d, and the chaos
+// corpus.
+func committedSpecs(tb testing.TB, d time.Duration) [][]byte {
+	var out [][]byte
+	specs, _ := filepath.Glob(filepath.Join("bench", "specs", "*.json"))
+	for _, path := range specs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	for _, s := range ScenarioCatalog(d) {
+		data, err := json.Marshal(s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	corpus, _ := filepath.Glob(filepath.Join("testdata", "chaos", "*.json"))
+	for _, path := range corpus {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var entry struct {
+			Scenario json.RawMessage `json:"scenario"`
+		}
+		if err := json.Unmarshal(data, &entry); err != nil {
+			tb.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, entry.Scenario)
+	}
+	if len(specs) == 0 || len(corpus) == 0 {
+		tb.Fatal("no committed scenario specs found")
+	}
+	return out
 }

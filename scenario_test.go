@@ -160,11 +160,28 @@ func TestScenarioValidation(t *testing.T) {
 			X86Points: []DVFSPoint{{MHz: 2666, Voltage: 1}, {MHz: 1333, Voltage: 0.85}},
 		}}, "not strictly increasing"},
 		{"IXP pool cap out of range", Scenario{Energy: &EnergyControl{IXPMaxPools: 99}}, "pool cap"},
+		{"too many sessions", Scenario{Workload: &Workload{Sessions: maxScenarioSessions + 1}}, "closed-loop sessions"},
+		{"load factor multiplies sessions", Scenario{LoadFactor: maxScenarioSessions}, "closed-loop sessions"},
+		{"too many requests", Scenario{Duration: 100 * time.Second, Workload: &Workload{Kind: "kv-tier", Rate: 20_000}}, "arrivals over 1m40s"},
+		{"default duration counts", Scenario{Workload: &Workload{Kind: "diurnal", Rate: 20_000}}, "arrivals over 1m10s"},
+		{"spike multiplies requests", Scenario{Duration: 10 * time.Second, Workload: &Workload{Kind: "flash-crowd", Rate: 100, SpikeFactor: 1e4}}, "over the cap"},
+		{"update period multiplies requests", Scenario{Duration: 10 * time.Second, Workload: &Workload{Kind: "ml-serving", UpdatePeriod: time.Microsecond}}, "over the cap"},
+		{"negative update period", Scenario{Workload: &Workload{Kind: "ml-serving", UpdatePeriod: -time.Second}}, "update period"},
+		{"too many replicas", Scenario{Failover: &FailoverControl{Replicas: maxScenarioReplicas + 1}}, "controller replicas"},
+		{"batch too large", Scenario{Workload: &Workload{Kind: "ml-serving", Batch: maxScenarioBatch + 1}}, "batch size"},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	// The caps leave every committed spec valid: the bench specs, the
+	// scenario catalog at the calibrated 70 s, and the chaos corpus.
+	for i, data := range committedSpecs(t, 70*time.Second) {
+		if _, err := ParseScenario(data); err != nil {
+			t.Errorf("committed spec %d: %v", i, err)
 		}
 	}
 
