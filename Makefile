@@ -49,13 +49,15 @@ bench:
 	$(GO) run ./cmd/reprobench -exp sweep-bench -json /tmp/BENCH_sweep.json -baseline BENCH_sweep.json
 
 # fuzz gives the reliability-protocol, checkpoint-decoder, fault-plan-
-# generator and scenario-spec fuzzers a short budget each; CI and local
+# generator and scenario-spec (parse-compile-run and parse-compile)
+# fuzzers a short budget each; CI and local
 # smoke runs share the checked-in corpus under testdata.
 fuzz:
 	$(GO) test -run FuzzReliableEndpoint -fuzz FuzzReliableEndpoint -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzCheckpoint -fuzz FuzzCheckpoint -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFaultPlanGen -fuzz FuzzFaultPlanGen -fuzztime 30s ./internal/chaos/
-	$(GO) test -run FuzzScenario -fuzz FuzzScenario -fuzztime 30s .
+	$(GO) test -run '^FuzzScenario$$' -fuzz '^FuzzScenario$$' -fuzztime 30s .
+	$(GO) test -run '^FuzzScenarioCompile$$' -fuzz '^FuzzScenarioCompile$$' -fuzztime 30s .
 
 # chaos runs the fault-injection suites: the root RUBiS chaos tests plus
 # the coordination-plane protocol tests under the race detector.

@@ -56,7 +56,7 @@ func main() {
 	p.IXPAgent.SendTrigger(platform.X86Island, vm.ID())
 	p.Sim.RunUntil(3 * sim.Millisecond)
 	fmt.Printf("after Trigger: vcpu priority=%v, running=%v\n",
-		vm.VCPUs()[0].Priority(), vm.VCPUs()[0].Running())
+		vm.Priority(), vm.Running())
 
 	// Let the platform run for a simulated second and read the meters.
 	p.Sim.RunUntil(1 * sim.Second)

@@ -177,7 +177,7 @@ func (x *X86Actuator) EnableTriggerSurge(s *sim.Simulator, factor float64, hold 
 	x.surges = make(map[int]*surgeState)
 }
 
-// ApplyTrigger boosts the domain's VCPUs (preemptive semantics), plus the
+// ApplyTrigger boosts the domain (preemptive semantics), plus the
 // weight surge when enabled.
 func (x *X86Actuator) ApplyTrigger(entity int) error {
 	if err := x.ctl.Boost(entity); err != nil {

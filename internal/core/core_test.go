@@ -399,7 +399,7 @@ func TestHostDownlinkDirection(t *testing.T) {
 func TestX86ActuatorAppliesWeightAndBoost(t *testing.T) {
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 1})
-	d := hv.CreateDomain("web", 256, 1)
+	d := hv.CreateDomain("web", 256)
 	hv.Start()
 	act := NewX86Actuator(xen.NewCtl(hv))
 	if err := act.ApplyTune(d.ID(), +64); err != nil {
@@ -670,7 +670,7 @@ func TestIXPPollActuator(t *testing.T) {
 func TestX86ActuatorLoadTracking(t *testing.T) {
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 1})
-	d := hv.CreateDomain("vm", 256, 1)
+	d := hv.CreateDomain("vm", 256)
 	hv.Start()
 	act := NewX86Actuator(xen.NewCtl(hv))
 	act.MinWeight = 100
@@ -723,7 +723,7 @@ func TestX86ActuatorLoadTracking(t *testing.T) {
 func TestX86ActuatorTriggerSurge(t *testing.T) {
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 1})
-	d := hv.CreateDomain("vm", 256, 1)
+	d := hv.CreateDomain("vm", 256)
 	hv.Start()
 	act := NewX86Actuator(xen.NewCtl(hv))
 	act.EnableTriggerSurge(s, 2.0, 100*sim.Millisecond)

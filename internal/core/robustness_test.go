@@ -265,7 +265,7 @@ func TestControllerConsumesProtocolKinds(t *testing.T) {
 func TestX86ActuatorBaselineRevert(t *testing.T) {
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 1})
-	d := hv.CreateDomain("vm", 256, 1)
+	d := hv.CreateDomain("vm", 256)
 	hv.Start()
 	ctl := xen.NewCtl(hv)
 	x := NewX86Actuator(ctl)

@@ -12,7 +12,7 @@ func newHost(t *testing.T) (*sim.Simulator, *xen.Hypervisor, *HostStack) {
 	t.Helper()
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 2})
-	dom0 := hv.CreateDomain("dom0", 256, 1)
+	dom0 := hv.CreateDomain("dom0", 256)
 	hv.Start()
 	tx := pcie.NewChannel(s, "host-ixp", pcie.Config{Latency: 10 * sim.Microsecond, Bandwidth: 1e9})
 	hs := NewHostStack(s, dom0, tx, Config{})
@@ -154,8 +154,8 @@ func TestDom0ContentionDelaysDelivery(t *testing.T) {
 	// cross-island dependence the paper's coordination exploits.
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 1})
-	dom0 := hv.CreateDomain("dom0", 256, 1)
-	hog := hv.CreateDomain("hog", 25600, 1)
+	dom0 := hv.CreateDomain("dom0", 256)
+	hog := hv.CreateDomain("hog", 25600)
 	hv.Start()
 	tx := pcie.NewChannel(s, "host-ixp", pcie.Config{})
 	hs := NewHostStack(s, dom0, tx, Config{RxCostPerPacket: 1 * sim.Millisecond, RxBatch: 1})
@@ -204,8 +204,8 @@ func TestPollingDriverDoesNotPileUpWhenStarved(t *testing.T) {
 	// polls rather than queue unbounded demand.
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 1})
-	dom0 := hv.CreateDomain("dom0", 64, 1)
-	hog := hv.CreateDomain("hog", 6400, 1)
+	dom0 := hv.CreateDomain("dom0", 64)
+	hog := hv.CreateDomain("hog", 6400)
 	hv.Start()
 	var churn func()
 	churn = func() { hog.SubmitFunc(5*sim.Millisecond, "hog", churn) }
@@ -307,7 +307,7 @@ func TestRegisterBoundedValidation(t *testing.T) {
 func TestInterruptModerationBatches(t *testing.T) {
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 2})
-	dom0 := hv.CreateDomain("dom0", 256, 1)
+	dom0 := hv.CreateDomain("dom0", 256)
 	hv.Start()
 	tx := pcie.NewChannel(s, "t", pcie.Config{})
 	hs := NewHostStack(s, dom0, tx, Config{IntrPeriod: 10 * sim.Millisecond})
@@ -343,7 +343,7 @@ func TestInterruptModerationBatches(t *testing.T) {
 func TestInterruptModerationSkipsEmptyPeriods(t *testing.T) {
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 1})
-	dom0 := hv.CreateDomain("dom0", 256, 1)
+	dom0 := hv.CreateDomain("dom0", 256)
 	hv.Start()
 	tx := pcie.NewChannel(s, "t", pcie.Config{})
 	hs := NewHostStack(s, dom0, tx, Config{IntrPeriod: 5 * sim.Millisecond})
@@ -356,7 +356,7 @@ func TestInterruptModerationSkipsEmptyPeriods(t *testing.T) {
 func TestModerationCountsTowardRingFull(t *testing.T) {
 	s := sim.New(1)
 	hv := xen.New(s, xen.Options{NumPCPUs: 1})
-	dom0 := hv.CreateDomain("dom0", 256, 1)
+	dom0 := hv.CreateDomain("dom0", 256)
 	hv.Start()
 	tx := pcie.NewChannel(s, "t", pcie.Config{})
 	hs := NewHostStack(s, dom0, tx, Config{IntrPeriod: sim.Second})

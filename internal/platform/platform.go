@@ -135,6 +135,12 @@ func (c *Config) validate() error {
 	if c.Breaker != nil && !c.Reliable {
 		return fmt.Errorf("Breaker set without Reliable; the breaker guards the reliable endpoints' send path")
 	}
+	if c.MinGuestWeight < 0 {
+		return fmt.Errorf("MinGuestWeight %d is negative", c.MinGuestWeight)
+	}
+	if c.MinGuestWeight > c.MaxGuestWeight {
+		return fmt.Errorf("MinGuestWeight %d exceeds MaxGuestWeight %d", c.MinGuestWeight, c.MaxGuestWeight)
+	}
 	if e := c.Energy; e != nil {
 		if e.CapWatts < 0 {
 			return fmt.Errorf("Energy.CapWatts %v is negative", e.CapWatts)
@@ -259,7 +265,7 @@ func New(cfg Config) *Platform {
 	s := sim.New(cfg.Seed)
 
 	hv := xen.New(s, xen.Options{})
-	dom0 := hv.CreateDomain("Dom0", dom0Weight, 1)
+	dom0 := hv.CreateDomain("Dom0", dom0Weight)
 	ctl := xen.NewCtl(hv)
 	ctl.SetFlightRecorder(cfg.Flight)
 
@@ -607,7 +613,7 @@ func (p *Platform) registerEntity(e core.Entity) error {
 // entity with the global controller, and provisions its IXP flow queue —
 // the registration step of §2.3.
 func (p *Platform) AddGuest(name string, weight int) *xen.Domain {
-	d := p.HV.CreateDomain(name, weight, 1)
+	d := p.HV.CreateDomain(name, weight)
 	if err := p.registerEntity(core.Entity{ID: d.ID(), Name: name, Home: X86Island}); err != nil {
 		panic(fmt.Sprintf("platform: registering guest %q: %v", name, err))
 	}
@@ -621,7 +627,7 @@ func (p *Platform) AddGuest(name string, weight int) *xen.Domain {
 // (e.g. the disk-playback MPlayer VM of Table 3): it is registered with the
 // controller but gets no IXP flow queue.
 func (p *Platform) AddLocalGuest(name string, weight int) *xen.Domain {
-	d := p.HV.CreateDomain(name, weight, 1)
+	d := p.HV.CreateDomain(name, weight)
 	if err := p.registerEntity(core.Entity{ID: d.ID(), Name: name, Home: X86Island}); err != nil {
 		panic(fmt.Sprintf("platform: registering guest %q: %v", name, err))
 	}

@@ -192,6 +192,9 @@ func TestNewRejectsContradictoryConfig(t *testing.T) {
 		{"breaker without reliable", Config{Breaker: &overload.BreakerConfig{}}, "Breaker"},
 		{"negative cap", Config{Energy: &EnergyConfig{Governor: energy.ModeCoordinated, CapWatts: -1}}, "CapWatts"},
 		{"cap without coordinated governor", Config{Energy: &EnergyConfig{Governor: energy.ModeOndemand, CapWatts: 120}}, "CapWatts"},
+		{"negative min guest weight", Config{MinGuestWeight: -1}, "MinGuestWeight"},
+		{"min guest weight above max", Config{MinGuestWeight: 512, MaxGuestWeight: 256}, "MinGuestWeight"},
+		{"min guest weight above default max", Config{MinGuestWeight: 2048}, "MinGuestWeight"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

@@ -83,11 +83,24 @@ func (t *Trace) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadFile reads and decodes a .wtrace file.
+// MaxFileBytes caps the .wtrace files ReadFile accepts: 64 MiB, thousands
+// of times the calibrated traces, so a path naming an endless stream (a
+// device, a pipe) fails with an error instead of exhausting memory.
+const MaxFileBytes = 64 << 20
+
+// ReadFile reads and decodes a .wtrace file of at most MaxFileBytes.
 func ReadFile(path string) (*Trace, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, MaxFileBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if len(data) > MaxFileBytes {
+		return nil, fmt.Errorf("scenario: trace %s exceeds the %d-byte cap", path, MaxFileBytes)
 	}
 	return Decode(data)
 }

@@ -11,6 +11,10 @@
 // BOOST path is what the coordination layer's Trigger mechanism piggybacks
 // on; the weight knob is what the Tune mechanism adjusts (via Ctl, the
 // stand-in for the user-space "XenCtrl interface" of the paper).
+//
+// Every domain has exactly one VCPU, as every guest and Dom0 of the paper's
+// dual-core Xeon does, so a Domain carries its VCPU's scheduling state
+// itself and the runqueues and physical CPUs hold domains directly.
 package xen
 
 import (
@@ -51,7 +55,6 @@ const (
 	stateBlocked vcpuState = iota
 	stateRunnable
 	stateRunning
-	stateParked // cap enforcement
 )
 
 // Task is a unit of CPU demand executed by a domain, typically "process one
@@ -70,72 +73,33 @@ type Task struct {
 // queue.
 func (t *Task) Submitted() sim.Time { return t.submitted }
 
-// VCPU is a virtual CPU belonging to a domain.
-type VCPU struct {
-	dom   *Domain
-	id    int
-	state vcpuState
-	prio  Priority
+// Domain is a virtual machine: a credit weight, its single VCPU's
+// scheduling state, and a FIFO queue of CPU tasks that the VCPU executes.
+type Domain struct {
+	hv     *Hypervisor
+	id     int
+	name   string
+	weight int
 
+	state     vcpuState
+	prio      Priority
 	credits   sim.Time // positive = UNDER, non-positive = OVER
 	boostRan  sim.Time // time spent running at BOOST since promotion
 	blockedAt sim.Time // when the VCPU last blocked
-	affinity  []bool   // allowed PCPUs (nil = any); set via Ctl.PinVCPU
-	pcpu      *PCPU    // non-nil while running
 	runStart  sim.Time // when the current run interval began
 	current   *Task    // task being executed
 	sliceEv   *sim.Event
-	queuedSeq uint64 // FIFO ordering within a priority class
 
 	// freqResidue carries the remainder of the DVFS progress division
 	// (units of MHz*ns, always < MaxFreqMHz) so scaled task retirement stays
 	// exact across charge boundaries. Zero whenever the island runs at its
 	// top frequency.
 	freqResidue int64
-}
 
-// Domain returns the owning domain.
-func (v *VCPU) Domain() *Domain { return v.dom }
-
-// ID returns the VCPU index within its domain.
-func (v *VCPU) ID() int { return v.id }
-
-// Priority returns the VCPU's current priority class.
-func (v *VCPU) Priority() Priority { return v.prio }
-
-// Credits returns the VCPU's current credit balance, expressed as CPU time.
-func (v *VCPU) Credits() sim.Time { return v.credits }
-
-// Running reports whether the VCPU currently occupies a physical CPU.
-func (v *VCPU) Running() bool { return v.state == stateRunning }
-
-// AllowedOn reports whether the VCPU may run on physical CPU id.
-func (v *VCPU) AllowedOn(pcpu int) bool {
-	if v.affinity == nil {
-		return true
-	}
-	return pcpu >= 0 && pcpu < len(v.affinity) && v.affinity[pcpu]
-}
-
-// Pinned reports whether the VCPU has a CPU affinity mask installed.
-func (v *VCPU) Pinned() bool { return v.affinity != nil }
-
-// Domain is a virtual machine: a weight/cap pair, one or more VCPUs, and a
-// FIFO queue of CPU tasks that its VCPUs execute.
-type Domain struct {
-	hv     *Hypervisor
-	id     int
-	name   string
-	weight int
-	cap    int // percent of one CPU; 0 = uncapped
-	vcpus  []*VCPU
-
-	queue      []*Task
-	meter      *stats.UtilizationMeter
-	labelBusy  map[string]sim.Time // CPU time by task label (xentop-style breakdown)
-	active     bool                // consumed CPU or was runnable since last accounting
-	usedInAcct sim.Time            // CPU consumed during the current accounting period
-	capDebt    sim.Time            // CPU consumed beyond the cap, not yet paid down
+	queue     []*Task
+	meter     *stats.UtilizationMeter
+	labelBusy map[string]sim.Time // CPU time by task label (xentop-style breakdown)
+	active    bool                // consumed CPU or was runnable since last accounting
 
 	tasksDone  uint64
 	tasksTotal uint64
@@ -150,11 +114,14 @@ func (d *Domain) Name() string { return d.name }
 // Weight returns the domain's credit-scheduler weight.
 func (d *Domain) Weight() int { return d.weight }
 
-// Cap returns the domain's CPU cap in percent of one CPU (0 = uncapped).
-func (d *Domain) Cap() int { return d.cap }
+// Priority returns the VCPU's current priority class.
+func (d *Domain) Priority() Priority { return d.prio }
 
-// VCPUs returns the domain's virtual CPUs.
-func (d *Domain) VCPUs() []*VCPU { return d.vcpus }
+// Credits returns the VCPU's current credit balance, expressed as CPU time.
+func (d *Domain) Credits() sim.Time { return d.credits }
+
+// Running reports whether the VCPU currently occupies a physical CPU.
+func (d *Domain) Running() bool { return d.state == stateRunning }
 
 // Meter returns the domain's CPU utilization meter.
 func (d *Domain) Meter() *stats.UtilizationMeter { return d.meter }
@@ -180,7 +147,7 @@ func (d *Domain) chargeLabel(label string, t sim.Time) {
 }
 
 // QueueLen returns the number of tasks waiting (excluding any task currently
-// executing on a VCPU).
+// executing on the VCPU).
 func (d *Domain) QueueLen() int { return len(d.queue) }
 
 // TasksCompleted returns the number of tasks fully executed.
@@ -196,13 +163,11 @@ func (d *Domain) Backlog() sim.Time {
 	for _, t := range d.queue {
 		total += t.remaining
 	}
-	for _, v := range d.vcpus {
-		if v.current != nil {
-			total += v.current.remaining
-			if v.state == stateRunning {
-				// Subtract progress made since the run interval began.
-				total -= d.hv.runProgress(v, d.hv.sim.Now())
-			}
+	if d.current != nil {
+		total += d.current.remaining
+		if d.state == stateRunning {
+			// Subtract progress made since the run interval began.
+			total -= d.hv.runProgress(d, d.hv.sim.Now())
 		}
 	}
 	if total < 0 {
@@ -211,8 +176,8 @@ func (d *Domain) Backlog() sim.Time {
 	return total
 }
 
-// Submit queues a CPU task on the domain, waking a blocked VCPU if one
-// exists. It panics on non-positive demand.
+// Submit queues a CPU task on the domain, waking its VCPU if blocked. It
+// panics on non-positive demand.
 func (d *Domain) Submit(t *Task) {
 	if t.Demand <= 0 {
 		panic(fmt.Sprintf("xen: task %q with non-positive demand %v", t.Label, t.Demand))
@@ -222,7 +187,7 @@ func (d *Domain) Submit(t *Task) {
 	d.queue = append(d.queue, t)
 	d.tasksTotal++
 	d.active = true
-	d.hv.wakeOne(d)
+	d.hv.wake(d)
 }
 
 // SubmitFunc is a convenience wrapper around Submit.

@@ -8,7 +8,7 @@ import (
 )
 
 // Credit1 scheduler constants: Xen's 30ms quantum, 10ms credit-burn tick
-// and 30ms credit re-allotment period. A woken VCPU may run at BOOST for
+// and 30ms credit re-allotment period. A woken domain may run at BOOST for
 // one tick before demotion.
 const (
 	timeslice   = 30 * sim.Millisecond
@@ -41,14 +41,14 @@ func (o *Options) applyDefaults() {
 // PCPU is a physical CPU of the host.
 type PCPU struct {
 	id      int
-	current *VCPU
+	current *Domain
 }
 
 // ID returns the physical CPU index.
 func (p *PCPU) ID() int { return p.id }
 
-// Current returns the VCPU currently running on the PCPU, or nil when idle.
-func (p *PCPU) Current() *VCPU { return p.current }
+// Current returns the domain currently running on the PCPU, or nil when idle.
+func (p *PCPU) Current() *Domain { return p.current }
 
 // Hypervisor is the x86 island's resource manager: it owns the physical
 // CPUs, the domains, and the credit scheduler state.
@@ -58,14 +58,13 @@ type Hypervisor struct {
 	pcpus   []*PCPU
 	domains []*Domain
 
-	// Runnable VCPUs, one FIFO per priority class (index = Priority).
-	runq    [3][]*VCPU
-	seq     uint64
+	// Runnable domains, one FIFO per priority class (index = Priority).
+	runq    [3][]*Domain
 	started bool
 
 	// DVFS: freqMHz/MaxFreqMHz form the island-wide operating point as an
 	// exact integer rational. Task progress retires at ran*freq/max
-	// (per-VCPU residues keep the division exact across charge boundaries)
+	// (per-domain residues keep the division exact across charge boundaries)
 	// while credits and utilization always burn wall-clock time; at
 	// freqMHz == MaxFreqMHz the arithmetic reduces to the unscaled identity
 	// byte-for-byte.
@@ -102,32 +101,28 @@ func (hv *Hypervisor) PCPUs() []*PCPU { return hv.pcpus }
 // first).
 func (hv *Hypervisor) Domains() []*Domain { return hv.domains }
 
-// Preemptions returns how many times a running VCPU was preempted by a
+// Preemptions returns how many times a running domain was preempted by a
 // higher-priority one.
 func (hv *Hypervisor) Preemptions() uint64 { return hv.preemptions }
 
-// Schedules returns how many VCPU dispatch decisions were made.
+// Schedules returns how many dispatch decisions were made.
 func (hv *Hypervisor) Schedules() uint64 { return hv.schedules }
 
-// CreateDomain creates a domain with the given name, credit weight, and
-// number of VCPUs. Domains are numbered in creation order starting at 0, so
-// create the privileged control domain (Dom0) first.
-func (hv *Hypervisor) CreateDomain(name string, weight, nvcpus int) *Domain {
+// CreateDomain creates a single-VCPU domain with the given name and credit
+// weight. Domains are numbered in creation order starting at 0, so create
+// the privileged control domain (Dom0) first.
+func (hv *Hypervisor) CreateDomain(name string, weight int) *Domain {
 	if weight <= 0 {
 		panic(fmt.Sprintf("xen: domain %q with non-positive weight %d", name, weight))
-	}
-	if nvcpus <= 0 {
-		panic(fmt.Sprintf("xen: domain %q with %d VCPUs", name, nvcpus))
 	}
 	d := &Domain{
 		hv:     hv,
 		id:     len(hv.domains),
 		name:   name,
 		weight: weight,
+		state:  stateBlocked,
+		prio:   PrioUnder,
 		meter:  stats.NewUtilizationMeter(name, hv.sim.Now()),
-	}
-	for i := 0; i < nvcpus; i++ {
-		d.vcpus = append(d.vcpus, &VCPU{dom: d, id: i, state: stateBlocked, prio: PrioUnder})
 	}
 	hv.domains = append(hv.domains, d)
 	return d
@@ -173,74 +168,69 @@ func (hv *Hypervisor) Stop() {
 	hv.stopFns = nil
 }
 
-// syncRunMeter folds the in-progress run interval of d's running VCPUs into
-// the utilization meter so that sampling sees up-to-date numbers.
+// syncRunMeter folds d's in-progress run interval, if running, into the
+// utilization meter so that sampling sees up-to-date numbers.
 func (hv *Hypervisor) syncRunMeter(d *Domain) {
-	now := hv.sim.Now()
-	for _, v := range d.vcpus {
-		if v.state == stateRunning && now > v.runStart {
-			hv.chargeRun(v, now)
-		}
+	if now := hv.sim.Now(); d.state == stateRunning && now > d.runStart {
+		hv.chargeRun(d, now)
 	}
 }
 
-// chargeRun accounts the run interval [v.runStart, now) to the VCPU: burns
-// credits, meters utilization, advances task progress, and restarts the
-// interval clock at now.
-func (hv *Hypervisor) chargeRun(v *VCPU, now sim.Time) {
-	ran := now - v.runStart
+// chargeRun accounts the run interval [d.runStart, now) to the domain:
+// burns credits, meters utilization, advances task progress, and restarts
+// the interval clock at now.
+func (hv *Hypervisor) chargeRun(d *Domain, now sim.Time) {
+	ran := now - d.runStart
 	if ran <= 0 {
 		return
 	}
-	v.credits -= ran
-	v.dom.usedInAcct += ran
-	v.dom.active = true
-	v.dom.meter.Record(v.runStart, now)
-	if v.prio == PrioBoost {
-		v.boostRan += ran
+	d.credits -= ran
+	d.active = true
+	d.meter.Record(d.runStart, now)
+	if d.prio == PrioBoost {
+		d.boostRan += ran
 	}
-	if v.current != nil {
-		v.dom.chargeLabel(v.current.Label, ran)
-	}
-	if v.current != nil {
+	if d.current != nil {
+		d.chargeLabel(d.current.Label, ran)
 		progress := ran
 		if hv.freqMHz != MaxFreqMHz {
-			// Scaled retirement: carry the division remainder in the VCPU's
-			// residue so progress is exact across charge boundaries.
-			num := int64(ran)*hv.freqMHz + v.freqResidue
+			// Scaled retirement: carry the division remainder in the
+			// domain's residue so progress is exact across charge
+			// boundaries.
+			num := int64(ran)*hv.freqMHz + d.freqResidue
 			progress = sim.Time(num / MaxFreqMHz)
-			v.freqResidue = num % MaxFreqMHz
+			d.freqResidue = num % MaxFreqMHz
 		}
-		v.current.remaining -= progress
-		if v.current.remaining < 0 {
-			v.current.remaining = 0
+		d.current.remaining -= progress
+		if d.current.remaining < 0 {
+			d.current.remaining = 0
 		}
 	}
-	v.runStart = now
+	d.runStart = now
 }
 
-// runProgress returns the task progress of v's in-flight run interval at
+// runProgress returns the task progress of d's in-flight run interval at
 // now without committing it (the read-only view Backlog needs).
-func (hv *Hypervisor) runProgress(v *VCPU, now sim.Time) sim.Time {
-	ran := now - v.runStart
+func (hv *Hypervisor) runProgress(d *Domain, now sim.Time) sim.Time {
+	ran := now - d.runStart
 	if ran <= 0 {
 		return 0
 	}
 	if hv.freqMHz == MaxFreqMHz {
 		return ran
 	}
-	return sim.Time((int64(ran)*hv.freqMHz + v.freqResidue) / MaxFreqMHz)
+	return sim.Time((int64(ran)*hv.freqMHz + d.freqResidue) / MaxFreqMHz)
 }
 
-// wallFor returns the wall-clock time v needs on a PCPU to retire its
+// wallFor returns the wall-clock time d needs on a PCPU to retire its
 // current task's remaining demand at the island's operating frequency: the
 // smallest interval whose scaled progress covers the remainder.
-func (hv *Hypervisor) wallFor(v *VCPU) sim.Time {
-	rem := v.current.remaining
+func (hv *Hypervisor) wallFor(d *Domain) sim.Time {
+	rem := d.current.remaining
 	if hv.freqMHz == MaxFreqMHz {
 		return rem
 	}
-	num := int64(rem)*MaxFreqMHz - v.freqResidue
+	num := int64(rem)*MaxFreqMHz - d.freqResidue
 	if num <= 0 {
 		return 1
 	}
@@ -252,7 +242,7 @@ func (hv *Hypervisor) FrequencyMHz() int { return int(hv.freqMHz) }
 
 // setFrequency commits a new island-wide operating frequency: every
 // in-progress run interval is charged at the old frequency first, then the
-// running VCPUs' slice events are re-armed at the new retirement rate.
+// running domains' slice events are re-armed at the new retirement rate.
 // Actuate through Ctl.SetFrequencyMHz, which taps the transition into the
 // flight recorder.
 func (hv *Hypervisor) setFrequency(mhz int) error {
@@ -270,42 +260,40 @@ func (hv *Hypervisor) setFrequency(mhz int) error {
 	}
 	hv.freqMHz = int64(mhz)
 	for _, p := range hv.pcpus {
-		v := p.current
-		if v == nil || v.current == nil {
+		d := p.current
+		if d == nil || d.current == nil {
 			continue
 		}
-		if v.sliceEv != nil {
-			v.sliceEv.Cancel()
-			v.sliceEv = nil
+		if d.sliceEv != nil {
+			d.sliceEv.Cancel()
+			d.sliceEv = nil
 		}
-		hv.armSliceEvent(p, v)
+		hv.armSliceEvent(p, d)
 	}
 	return nil
 }
 
-// enqueue inserts a runnable VCPU at the tail of its priority class.
-func (hv *Hypervisor) enqueue(v *VCPU) {
-	v.state = stateRunnable
-	v.queuedSeq = hv.seq
-	hv.seq++
-	hv.runq[v.prio] = append(hv.runq[v.prio], v)
+// enqueue inserts a runnable domain at the tail of its priority class.
+func (hv *Hypervisor) enqueue(d *Domain) {
+	d.state = stateRunnable
+	hv.runq[d.prio] = append(hv.runq[d.prio], d)
 }
 
-// dequeue removes v from the runqueue, if present.
-func (hv *Hypervisor) dequeue(v *VCPU) {
-	q := hv.runq[v.prio]
+// dequeue removes d from the runqueue, if present.
+func (hv *Hypervisor) dequeue(d *Domain) {
+	q := hv.runq[d.prio]
 	for i, x := range q {
-		if x == v {
+		if x == d {
 			copy(q[i:], q[i+1:])
 			q[len(q)-1] = nil
-			hv.runq[v.prio] = q[:len(q)-1]
+			hv.runq[d.prio] = q[:len(q)-1]
 			return
 		}
 	}
 }
 
-// bestQueued returns the highest-priority queued VCPU without removing it.
-func (hv *Hypervisor) bestQueued() *VCPU {
+// bestQueued returns the highest-priority queued domain without removing it.
+func (hv *Hypervisor) bestQueued() *Domain {
 	for p := int(PrioBoost); p >= int(PrioOver); p-- {
 		if len(hv.runq[p]) > 0 {
 			return hv.runq[p][0]
@@ -314,202 +302,186 @@ func (hv *Hypervisor) bestQueued() *VCPU {
 	return nil
 }
 
-// popBestFor removes and returns the highest-priority queued VCPU allowed
-// to run on PCPU p, or nil.
-func (hv *Hypervisor) popBestFor(p *PCPU) *VCPU {
+// popBest removes and returns the highest-priority queued domain, or nil.
+func (hv *Hypervisor) popBest() *Domain {
 	for pr := int(PrioBoost); pr >= int(PrioOver); pr-- {
-		q := hv.runq[pr]
-		for i, v := range q {
-			if !v.AllowedOn(p.id) {
-				continue
-			}
-			copy(q[i:], q[i+1:])
+		if q := hv.runq[pr]; len(q) > 0 {
+			d := q[0]
+			copy(q, q[1:])
 			q[len(q)-1] = nil
 			hv.runq[pr] = q[:len(q)-1]
-			return v
+			return d
 		}
 	}
 	return nil
 }
 
-// dispatch fills idle PCPUs from the runqueue, honoring affinity.
+// dispatch fills idle PCPUs from the runqueue.
 func (hv *Hypervisor) dispatch() {
 	for _, p := range hv.pcpus {
 		if p.current != nil {
 			continue
 		}
-		v := hv.popBestFor(p)
-		if v == nil {
-			continue
+		d := hv.popBest()
+		if d == nil {
+			return
 		}
-		hv.startRun(p, v)
+		hv.startRun(p, d)
 	}
 }
 
-// startRun puts v on PCPU p and schedules its next natural stop point
+// startRun puts d on PCPU p and schedules its next natural stop point
 // (timeslice expiry or current-task completion).
-func (hv *Hypervisor) startRun(p *PCPU, v *VCPU) {
+func (hv *Hypervisor) startRun(p *PCPU, d *Domain) {
 	hv.schedules++
-	p.current = v
-	v.pcpu = p
-	v.state = stateRunning
-	v.runStart = hv.sim.Now()
-	if v.current == nil {
-		v.current = v.dom.nextTask()
+	p.current = d
+	d.state = stateRunning
+	d.runStart = hv.sim.Now()
+	if d.current == nil {
+		d.current = d.nextTask()
 	}
-	if v.current == nil {
+	if d.current == nil {
 		// Nothing to do after all; block immediately.
 		hv.blockCurrent(p)
 		return
 	}
-	hv.armSliceEvent(p, v)
+	hv.armSliceEvent(p, d)
 }
 
 // armSliceEvent schedules the earlier of task completion and slice expiry.
-func (hv *Hypervisor) armSliceEvent(p *PCPU, v *VCPU) {
+func (hv *Hypervisor) armSliceEvent(p *PCPU, d *Domain) {
 	runFor := timeslice
-	if need := hv.wallFor(v); need < runFor {
+	if need := hv.wallFor(d); need < runFor {
 		runFor = need
 	}
 	if runFor <= 0 {
 		runFor = 1 // degenerate: finish on the next instant
 	}
-	v.sliceEv = hv.sim.After(runFor, func() { hv.sliceExpired(p, v) })
+	d.sliceEv = hv.sim.After(runFor, func() { hv.sliceExpired(p, d) })
 }
 
 // sliceExpired handles the natural end of a run interval.
-func (hv *Hypervisor) sliceExpired(p *PCPU, v *VCPU) {
-	if p.current != v {
+func (hv *Hypervisor) sliceExpired(p *PCPU, d *Domain) {
+	if p.current != d {
 		return // stale event (should have been cancelled)
 	}
 	now := hv.sim.Now()
-	hv.chargeRun(v, now)
-	v.sliceEv = nil
+	hv.chargeRun(d, now)
+	d.sliceEv = nil
 
 	// Complete as many tasks as finished exactly here.
-	if v.current != nil && v.current.remaining == 0 {
-		hv.completeTask(v)
+	if d.current != nil && d.current.remaining == 0 {
+		hv.completeTask(d)
 	}
-	if v.current == nil {
-		v.current = v.dom.nextTask()
+	if d.current == nil {
+		d.current = d.nextTask()
 	}
-	if v.current == nil {
+	if d.current == nil {
 		hv.blockCurrent(p)
 		return
 	}
 	// Timeslice used up (or more work remains): recompute priority, requeue
-	// at the tail, and let the scheduler pick the next VCPU.
-	hv.deschedule(p, v)
+	// at the tail, and let the scheduler pick the next domain.
+	hv.deschedule(p, d)
 	hv.dispatch()
 }
 
-// completeTask finishes v's current task. The completion callback is
+// completeTask finishes d's current task. The completion callback is
 // deferred to a fresh event: callbacks submit work to other domains, which
 // can preempt the very PCPU whose scheduling operation is still in
 // progress, so running them synchronously here would corrupt scheduler
 // state mid-operation.
-func (hv *Hypervisor) completeTask(v *VCPU) {
-	t := v.current
-	v.current = nil
-	v.dom.tasksDone++
+func (hv *Hypervisor) completeTask(d *Domain) {
+	t := d.current
+	d.current = nil
+	d.tasksDone++
 	if t.OnComplete != nil {
 		hv.sim.After(0, t.OnComplete)
 	}
 }
 
-// deschedule removes v from its PCPU and requeues it as runnable.
-func (hv *Hypervisor) deschedule(p *PCPU, v *VCPU) {
+// deschedule removes d from its PCPU and requeues it as runnable.
+func (hv *Hypervisor) deschedule(p *PCPU, d *Domain) {
 	p.current = nil
-	v.pcpu = nil
-	hv.refreshPriority(v)
-	hv.enqueue(v)
+	hv.refreshPriority(d)
+	hv.enqueue(d)
 }
 
-// blockCurrent blocks the VCPU running on p (its domain queue is empty) and
+// blockCurrent blocks the domain running on p (its task queue is empty) and
 // dispatches a replacement.
 func (hv *Hypervisor) blockCurrent(p *PCPU) {
-	v := p.current
+	d := p.current
 	p.current = nil
-	v.pcpu = nil
-	v.state = stateBlocked
-	v.blockedAt = hv.sim.Now()
-	v.boostRan = 0
-	if v.sliceEv != nil {
-		v.sliceEv.Cancel()
-		v.sliceEv = nil
+	d.state = stateBlocked
+	d.blockedAt = hv.sim.Now()
+	d.boostRan = 0
+	if d.sliceEv != nil {
+		d.sliceEv.Cancel()
+		d.sliceEv = nil
 	}
 	hv.dispatch()
 }
 
-// refreshPriority recomputes a non-boosted VCPU's class from its credit
-// balance, and demotes BOOST VCPUs that have used their boost window.
-func (hv *Hypervisor) refreshPriority(v *VCPU) {
-	if v.prio == PrioBoost && v.boostRan < boostWindow {
+// refreshPriority recomputes a non-boosted domain's class from its credit
+// balance, and demotes BOOST domains that have used their boost window.
+func (hv *Hypervisor) refreshPriority(d *Domain) {
+	if d.prio == PrioBoost && d.boostRan < boostWindow {
 		return // still within its boost window
 	}
-	v.boostRan = 0
-	if v.credits >= 0 {
-		v.prio = PrioUnder
+	d.boostRan = 0
+	if d.credits >= 0 {
+		d.prio = PrioUnder
 	} else {
-		v.prio = PrioOver
+		d.prio = PrioOver
 	}
 }
 
-// wakeOne wakes a blocked VCPU of d, if any, applying BOOST semantics.
-func (hv *Hypervisor) wakeOne(d *Domain) {
-	for _, v := range d.vcpus {
-		if v.state != stateBlocked {
-			continue
-		}
-		switch {
-		case v.credits >= 0 && hv.sim.Now() > v.blockedAt:
-			// Waking from a real sleep with credit remaining earns the
-			// transient BOOST class (idle domains hold at zero credits and
-			// still qualify, matching credit1's treatment of inactive
-			// domains). Zero-duration blocks — a domain picking up
-			// back-to-back work — do not count as sleeping and keep their
-			// credit-derived priority, as they would on real hardware where
-			// the guest never actually idles.
-			v.prio = PrioBoost
-			v.boostRan = 0
-		case v.credits >= 0:
-			v.prio = PrioUnder
-		default:
-			v.prio = PrioOver
-		}
-		hv.enqueue(v)
-		hv.maybePreempt()
+// wake makes a blocked domain runnable, applying BOOST semantics.
+func (hv *Hypervisor) wake(d *Domain) {
+	if d.state != stateBlocked {
 		return
 	}
+	switch {
+	case d.credits >= 0 && hv.sim.Now() > d.blockedAt:
+		// Waking from a real sleep with credit remaining earns the
+		// transient BOOST class (idle domains hold at zero credits and
+		// still qualify, matching credit1's treatment of inactive
+		// domains). Zero-duration blocks — a domain picking up
+		// back-to-back work — do not count as sleeping and keep their
+		// credit-derived priority, as they would on real hardware where
+		// the guest never actually idles.
+		d.prio = PrioBoost
+		d.boostRan = 0
+	case d.credits >= 0:
+		d.prio = PrioUnder
+	default:
+		d.prio = PrioOver
+	}
+	hv.enqueue(d)
+	hv.maybePreempt()
 }
 
-// Boost promotes a domain's VCPUs to BOOST priority immediately, preempting
-// lower-priority VCPUs. This implements the preemptive half of the paper's
-// Trigger mechanism on the x86 island ("boost the dequeuing guest VM's
-// position in the runqueue").
+// Boost promotes a domain to BOOST priority immediately, preempting
+// lower-priority domains. This implements the preemptive half of the
+// paper's Trigger mechanism on the x86 island ("boost the dequeuing guest
+// VM's position in the runqueue").
 func (hv *Hypervisor) Boost(d *Domain) {
-	for _, v := range d.vcpus {
-		switch v.state {
-		case stateRunnable:
-			hv.dequeue(v)
-			v.prio = PrioBoost
-			v.boostRan = 0
-			hv.enqueue(v)
-		case stateBlocked, stateRunning:
-			// A blocked VCPU will be boosted on wake by its credit balance;
-			// force it regardless of credits by pre-setting priority.
-			v.prio = PrioBoost
-			v.boostRan = 0
-		case stateParked:
-			// Cap enforcement outranks a boost: a parked VCPU stays parked
-			// until its domain drops back under its cap.
-		}
+	if d.state == stateRunnable {
+		hv.dequeue(d)
+		d.prio = PrioBoost
+		d.boostRan = 0
+		hv.enqueue(d)
+	} else {
+		// A blocked domain will be boosted on wake by its credit balance;
+		// force it regardless of credits by pre-setting priority.
+		d.prio = PrioBoost
+		d.boostRan = 0
 	}
 	hv.maybePreempt()
 }
 
-// maybePreempt preempts the lowest-priority running VCPU if a queued VCPU
-// outranks it, honoring the queued VCPU's affinity.
+// maybePreempt preempts the lowest-priority running domain while a queued
+// domain outranks it.
 func (hv *Hypervisor) maybePreempt() {
 	for {
 		hv.dispatch() // place onto any idle PCPUs first
@@ -517,10 +489,9 @@ func (hv *Hypervisor) maybePreempt() {
 		if best == nil {
 			return
 		}
-		// Find the weakest running VCPU among the PCPUs best may use.
 		var victim *PCPU
 		for _, p := range hv.pcpus {
-			if p.current == nil || !best.AllowedOn(p.id) {
+			if p.current == nil {
 				continue
 			}
 			if victim == nil || p.current.prio < victim.current.prio {
@@ -534,53 +505,53 @@ func (hv *Hypervisor) maybePreempt() {
 	}
 }
 
-// preempt stops the VCPU running on p and requeues it.
+// preempt stops the domain running on p and requeues it.
 func (hv *Hypervisor) preempt(p *PCPU) {
-	v := p.current
+	d := p.current
 	hv.preemptions++
-	hv.chargeRun(v, hv.sim.Now())
-	if v.sliceEv != nil {
-		v.sliceEv.Cancel()
-		v.sliceEv = nil
+	hv.chargeRun(d, hv.sim.Now())
+	if d.sliceEv != nil {
+		d.sliceEv.Cancel()
+		d.sliceEv = nil
 	}
-	if v.current != nil && v.current.remaining == 0 {
-		hv.completeTask(v)
+	if d.current != nil && d.current.remaining == 0 {
+		hv.completeTask(d)
 	}
-	hv.deschedule(p, v)
+	hv.deschedule(p, d)
 	hv.dispatch()
 }
 
-// tick is the 10ms credit-burn tick: it charges running VCPUs, demotes those
-// that ran out of credits or out of their boost window, and preempts if the
-// queue now holds higher-priority work.
+// tick is the 10ms credit-burn tick: it charges running domains, demotes
+// those that ran out of credits or out of their boost window, and preempts
+// if the queue now holds higher-priority work.
 func (hv *Hypervisor) tick() {
 	now := hv.sim.Now()
 	for _, p := range hv.pcpus {
-		v := p.current
-		if v == nil {
+		d := p.current
+		if d == nil {
 			continue
 		}
-		hv.chargeRun(v, now)
-		if v.current != nil && v.current.remaining == 0 {
+		hv.chargeRun(d, now)
+		if d.current != nil && d.current.remaining == 0 {
 			// Task finished exactly on the tick; complete it and continue
 			// with the next one within the same slice.
-			if v.sliceEv != nil {
-				v.sliceEv.Cancel()
-				v.sliceEv = nil
+			if d.sliceEv != nil {
+				d.sliceEv.Cancel()
+				d.sliceEv = nil
 			}
-			hv.completeTask(v)
-			v.current = v.dom.nextTask()
-			if v.current == nil {
+			hv.completeTask(d)
+			d.current = d.nextTask()
+			if d.current == nil {
 				hv.blockCurrent(p)
 				continue
 			}
-			hv.armSliceEvent(p, v)
+			hv.armSliceEvent(p, d)
 		}
-		old := v.prio
-		hv.refreshPriority(v)
-		if v.prio != old && v.prio < old {
+		old := d.prio
+		hv.refreshPriority(d)
+		if d.prio < old {
 			// Demoted while running: check whether someone now outranks it.
-			if best := hv.bestQueued(); best != nil && best.prio > v.prio {
+			if best := hv.bestQueued(); best != nil && best.prio > d.prio {
 				hv.preempt(p)
 			}
 		}
@@ -589,9 +560,8 @@ func (hv *Hypervisor) tick() {
 }
 
 // account is the 30ms credit re-allotment: each active domain receives
-// credits proportional to its weight, split evenly among its VCPUs, with
-// balances clamped to one accounting period. Capped domains that exceeded
-// their cap are parked until the next accounting.
+// credits proportional to its weight, with balances clamped to one
+// accounting period.
 func (hv *Hypervisor) account() {
 	now := hv.sim.Now()
 	// Charge in-progress runs so balances are current.
@@ -612,105 +582,28 @@ func (hv *Hypervisor) account() {
 
 	for _, d := range hv.domains {
 		if d.active && totalWeight > 0 {
-			share := sim.Time(float64(budget) * float64(d.weight) / float64(totalWeight))
-			if d.cap > 0 {
-				capShare := acctPeriod * sim.Time(d.cap) / 100
-				if share > capShare {
-					share = capShare
-				}
+			d.credits += sim.Time(float64(budget) * float64(d.weight) / float64(totalWeight))
+			if d.credits > clamp {
+				d.credits = clamp
 			}
-			per := share / sim.Time(len(d.vcpus))
-			for _, v := range d.vcpus {
-				v.credits += per
-				if v.credits > clamp {
-					v.credits = clamp
-				}
-				if v.credits < -clamp {
-					v.credits = -clamp
-				}
+			if d.credits < -clamp {
+				d.credits = -clamp
 			}
 		}
-
-		// Cap enforcement: track the domain's overrun as a debt that is paid
-		// down at cap-rate while parked, so the long-run average honors the
-		// cap even though parking granularity is one accounting period.
-		if d.cap > 0 {
-			capTime := acctPeriod * sim.Time(d.cap) / 100
-			d.capDebt += d.usedInAcct - capTime
-			if d.capDebt < 0 {
-				d.capDebt = 0
-			}
-			if d.capDebt > 0 {
-				hv.parkDomain(d)
-			} else {
-				hv.unparkDomain(d)
-			}
-		}
-		d.usedInAcct = 0
-		d.active = false
-		for _, v := range d.vcpus {
-			if v.state != stateBlocked && v.state != stateParked {
-				d.active = true
-			}
-		}
+		d.active = d.state != stateBlocked
 	}
 
-	// Re-sort queued VCPUs into their refreshed priority classes.
-	var queued []*VCPU
+	// Re-sort queued domains into their refreshed priority classes.
+	var queued []*Domain
 	for p := range hv.runq {
 		queued = append(queued, hv.runq[p]...)
 		hv.runq[p] = hv.runq[p][:0]
 	}
-	for _, v := range queued {
-		hv.refreshPriority(v)
-		hv.enqueue(v)
+	for _, d := range queued {
+		hv.refreshPriority(d)
+		hv.enqueue(d)
 	}
 	hv.maybePreempt()
-}
-
-// parkDomain removes a domain's VCPUs from scheduling (cap exceeded).
-func (hv *Hypervisor) parkDomain(d *Domain) {
-	for _, v := range d.vcpus {
-		switch v.state {
-		case stateRunnable:
-			hv.dequeue(v)
-			v.state = stateParked
-		case stateRunning:
-			p := v.pcpu
-			hv.chargeRun(v, hv.sim.Now())
-			if v.sliceEv != nil {
-				v.sliceEv.Cancel()
-				v.sliceEv = nil
-			}
-			p.current = nil
-			v.pcpu = nil
-			v.state = stateParked
-			hv.dispatch()
-		case stateBlocked, stateParked:
-			// Not on a runqueue or a PCPU; there is nothing to remove. A
-			// blocked VCPU that wakes while the domain is over cap runs
-			// until the next accounting period parks it again.
-		}
-	}
-}
-
-// unparkDomain returns parked VCPUs to the runqueue.
-func (hv *Hypervisor) unparkDomain(d *Domain) {
-	woke := false
-	for _, v := range d.vcpus {
-		if v.state == stateParked {
-			if v.current != nil || len(d.queue) > 0 {
-				hv.refreshPriority(v)
-				hv.enqueue(v)
-				woke = true
-			} else {
-				v.state = stateBlocked
-			}
-		}
-	}
-	if woke {
-		hv.maybePreempt()
-	}
 }
 
 // TotalUtilization returns the summed mean CPU utilization (percent of one

@@ -19,7 +19,7 @@ func TestSchedulerInvariantsRandomized(t *testing.T) {
 		rng := s.Rand().Fork()
 		doms := make([]*Domain, nDoms)
 		for i := range doms {
-			doms[i] = hv.CreateDomain("d", 64+rng.Intn(1024), 1)
+			doms[i] = hv.CreateDomain("d", 64+rng.Intn(1024))
 		}
 		hv.Start()
 
@@ -38,7 +38,7 @@ func TestSchedulerInvariantsRandomized(t *testing.T) {
 		}
 
 		// Work conservation probe: whenever total queued work exists and
-		// some PCPU idles, every queued VCPU must be blocked or running —
+		// some PCPU idles, every queued domain must be blocked or running —
 		// i.e. the runqueue must be empty.
 		conserving := true
 		s.Ticker(7*sim.Millisecond, func() {
@@ -93,7 +93,7 @@ func TestCreditsBoundedRandomized(t *testing.T) {
 		rng := s.Rand().Fork()
 		var doms []*Domain
 		for i := 0; i < 4; i++ {
-			doms = append(doms, hv.CreateDomain("d", 64+rng.Intn(512), 1))
+			doms = append(doms, hv.CreateDomain("d", 64+rng.Intn(512)))
 		}
 		hv.Start()
 		for _, d := range doms {
@@ -103,10 +103,8 @@ func TestCreditsBoundedRandomized(t *testing.T) {
 		clamp := acctPeriod + timeslice // slack for in-slice burn
 		s.Ticker(10*sim.Millisecond, func() {
 			for _, d := range doms {
-				for _, v := range d.VCPUs() {
-					if v.Credits() > clamp || v.Credits() < -clamp {
-						ok = false
-					}
+				if d.Credits() > clamp || d.Credits() < -clamp {
+					ok = false
 				}
 			}
 		})
@@ -119,13 +117,13 @@ func TestCreditsBoundedRandomized(t *testing.T) {
 }
 
 // TestNoLostTasksUnderChurn submits a known amount of work with weight
-// changes, boosts, and cap churn happening concurrently, then verifies all
+// changes and boosts happening concurrently, then verifies all
 // of it completes.
 func TestNoLostTasksUnderChurn(t *testing.T) {
 	s := sim.New(17)
 	hv := New(s, Options{NumPCPUs: 2})
-	a := hv.CreateDomain("a", 256, 1)
-	b := hv.CreateDomain("b", 256, 1)
+	a := hv.CreateDomain("a", 256)
+	b := hv.CreateDomain("b", 256)
 	ctl := NewCtl(hv)
 	hv.Start()
 	const n = 300
@@ -145,15 +143,11 @@ func TestNoLostTasksUnderChurn(t *testing.T) {
 	}
 	// Churn the control plane while work flows.
 	s.Ticker(50*sim.Millisecond, func() {
-		switch rng.Intn(4) {
+		switch rng.Intn(2) {
 		case 0:
 			_ = ctl.SetWeight(a.ID(), 64+rng.Intn(1000))
 		case 1:
 			_ = ctl.Boost(b.ID())
-		case 2:
-			_ = ctl.SetCap(a.ID(), 30+rng.Intn(70))
-		case 3:
-			_ = ctl.SetCap(a.ID(), 0)
 		}
 	})
 	s.RunUntil(30 * sim.Second)

@@ -35,7 +35,7 @@ func TestPriorityString(t *testing.T) {
 
 func TestSingleDomainConsumesCPU(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	d := hv.CreateDomain("dom", 256, 1)
+	d := hv.CreateDomain("dom", 256)
 	hv.Start()
 	done := false
 	d.SubmitFunc(50*sim.Millisecond, "t", func() { done = true })
@@ -55,7 +55,7 @@ func TestSingleDomainConsumesCPU(t *testing.T) {
 
 func TestTaskCompletionTime(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	d := hv.CreateDomain("dom", 256, 1)
+	d := hv.CreateDomain("dom", 256)
 	hv.Start()
 	var doneAt sim.Time
 	d.SubmitFunc(25*sim.Millisecond, "t", func() { doneAt = s.Now() })
@@ -68,7 +68,7 @@ func TestTaskCompletionTime(t *testing.T) {
 
 func TestTasksRunFIFO(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	d := hv.CreateDomain("dom", 256, 1)
+	d := hv.CreateDomain("dom", 256)
 	hv.Start()
 	var order []string
 	for _, name := range []string{"a", "b", "c"} {
@@ -83,8 +83,8 @@ func TestTasksRunFIFO(t *testing.T) {
 
 func TestEqualWeightsShareCPUEqually(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	a := hv.CreateDomain("a", 256, 1)
-	b := hv.CreateDomain("b", 256, 1)
+	a := hv.CreateDomain("a", 256)
+	b := hv.CreateDomain("b", 256)
 	hv.Start()
 	saturate(s, a, 5*sim.Millisecond)
 	saturate(s, b, 5*sim.Millisecond)
@@ -103,8 +103,8 @@ func TestEqualWeightsShareCPUEqually(t *testing.T) {
 
 func TestWeightsGiveProportionalShares(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	a := hv.CreateDomain("a", 512, 1)
-	b := hv.CreateDomain("b", 256, 1)
+	a := hv.CreateDomain("a", 512)
+	b := hv.CreateDomain("b", 256)
 	hv.Start()
 	saturate(s, a, 5*sim.Millisecond)
 	saturate(s, b, 5*sim.Millisecond)
@@ -121,8 +121,8 @@ func TestWeightsGiveProportionalShares(t *testing.T) {
 
 func TestWorkConservingWhenOneDomainIdles(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	a := hv.CreateDomain("a", 256, 1)
-	hv.CreateDomain("b", 256, 1) // never submits work
+	a := hv.CreateDomain("a", 256)
+	hv.CreateDomain("b", 256) // never submits work
 	hv.Start()
 	saturate(s, a, 5*sim.Millisecond)
 	s.RunUntil(5 * sim.Second)
@@ -135,8 +135,8 @@ func TestWorkConservingWhenOneDomainIdles(t *testing.T) {
 
 func TestTwoPCPUsRunTwoDomainsConcurrently(t *testing.T) {
 	s, hv := newTestHV(t, 2)
-	a := hv.CreateDomain("a", 256, 1)
-	b := hv.CreateDomain("b", 256, 1)
+	a := hv.CreateDomain("a", 256)
+	b := hv.CreateDomain("b", 256)
 	hv.Start()
 	saturate(s, a, 5*sim.Millisecond)
 	saturate(s, b, 5*sim.Millisecond)
@@ -154,9 +154,9 @@ func TestThreeDomainsOnTwoPCPUs(t *testing.T) {
 	// The paper's RUBiS setup: three single-VCPU VMs on a dual-core host.
 	s, hv := newTestHV(t, 2)
 	doms := []*Domain{
-		hv.CreateDomain("web", 256, 1),
-		hv.CreateDomain("app", 256, 1),
-		hv.CreateDomain("db", 256, 1),
+		hv.CreateDomain("web", 256),
+		hv.CreateDomain("app", 256),
+		hv.CreateDomain("db", 256),
 	}
 	hv.Start()
 	for _, d := range doms {
@@ -179,8 +179,8 @@ func TestThreeDomainsOnTwoPCPUs(t *testing.T) {
 
 func TestWeightChangeTakesEffect(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	a := hv.CreateDomain("a", 256, 1)
-	b := hv.CreateDomain("b", 256, 1)
+	a := hv.CreateDomain("a", 256)
+	b := hv.CreateDomain("b", 256)
 	ctl := NewCtl(hv)
 	hv.Start()
 	saturate(s, a, 5*sim.Millisecond)
@@ -206,8 +206,8 @@ func TestWeightChangeTakesEffect(t *testing.T) {
 
 func TestBoostedWakeupPreemptsOverVCPU(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	hog := hv.CreateDomain("hog", 256, 1)
-	lat := hv.CreateDomain("latency", 256, 1)
+	hog := hv.CreateDomain("hog", 256)
+	lat := hv.CreateDomain("latency", 256)
 	hv.Start()
 	saturate(s, hog, 5*sim.Millisecond)
 	// Let the hog burn through its credits so it sits at OVER.
@@ -230,8 +230,8 @@ func TestBoostedWakeupPreemptsOverVCPU(t *testing.T) {
 
 func TestExplicitBoostTrigger(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	hog := hv.CreateDomain("hog", 2560, 1) // heavy weight keeps hog at UNDER
-	victim := hv.CreateDomain("victim", 256, 1)
+	hog := hv.CreateDomain("hog", 2560) // heavy weight keeps hog at UNDER
+	victim := hv.CreateDomain("victim", 256)
 	ctl := NewCtl(hv)
 	hv.Start()
 	saturate(s, hog, 5*sim.Millisecond)
@@ -245,7 +245,7 @@ func TestExplicitBoostTrigger(t *testing.T) {
 		if err := ctl.Boost(victim.ID()); err != nil {
 			t.Errorf("Boost: %v", err)
 		}
-		if victim.VCPUs()[0].Running() {
+		if victim.Running() {
 			boostedRuns++
 		}
 	})
@@ -256,30 +256,10 @@ func TestExplicitBoostTrigger(t *testing.T) {
 	}
 }
 
-func TestCapLimitsDomain(t *testing.T) {
-	s, hv := newTestHV(t, 1)
-	d := hv.CreateDomain("capped", 256, 1)
-	ctl := NewCtl(hv)
-	if err := ctl.SetCap(d.ID(), 25); err != nil {
-		t.Fatal(err)
-	}
-	hv.Start()
-	saturate(s, d, 5*sim.Millisecond)
-	s.RunUntil(10 * sim.Second)
-	hv.syncRunMeter(d)
-	u := d.Meter().MeanUtilization(0, s.Now())
-	if u > 40 {
-		t.Fatalf("capped domain utilization = %.1f%%, want well under 100 (cap 25)", u)
-	}
-	if u < 10 {
-		t.Fatalf("capped domain utilization = %.1f%%, starved below cap", u)
-	}
-}
-
 func TestBlockedDomainUsesNoCPU(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	busy := hv.CreateDomain("busy", 256, 1)
-	idle := hv.CreateDomain("idle", 256, 1)
+	busy := hv.CreateDomain("busy", 256)
+	idle := hv.CreateDomain("idle", 256)
 	hv.Start()
 	saturate(s, busy, 5*sim.Millisecond)
 	s.RunUntil(3 * sim.Second)
@@ -291,7 +271,7 @@ func TestBlockedDomainUsesNoCPU(t *testing.T) {
 
 func TestBacklogAccounting(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	d := hv.CreateDomain("dom", 256, 1)
+	d := hv.CreateDomain("dom", 256)
 	hv.Start()
 	d.SubmitFunc(100*sim.Millisecond, "t1", nil)
 	d.SubmitFunc(50*sim.Millisecond, "t2", nil)
@@ -311,7 +291,7 @@ func TestBacklogAccounting(t *testing.T) {
 
 func TestQueueLenAndCounters(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	d := hv.CreateDomain("dom", 256, 1)
+	d := hv.CreateDomain("dom", 256)
 	hv.Start()
 	for i := 0; i < 5; i++ {
 		d.SubmitFunc(10*sim.Millisecond, "t", nil)
@@ -329,7 +309,7 @@ func TestQueueLenAndCounters(t *testing.T) {
 
 func TestSubmitZeroDemandPanics(t *testing.T) {
 	_, hv := newTestHV(t, 1)
-	d := hv.CreateDomain("dom", 256, 1)
+	d := hv.CreateDomain("dom", 256)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero-demand task did not panic")
@@ -341,9 +321,8 @@ func TestSubmitZeroDemandPanics(t *testing.T) {
 func TestCreateDomainValidation(t *testing.T) {
 	_, hv := newTestHV(t, 1)
 	for _, fn := range []func(){
-		func() { hv.CreateDomain("x", 0, 1) },
-		func() { hv.CreateDomain("x", -1, 1) },
-		func() { hv.CreateDomain("x", 256, 0) },
+		func() { hv.CreateDomain("x", 0) },
+		func() { hv.CreateDomain("x", -1) },
 	} {
 		func() {
 			defer func() {
@@ -358,8 +337,8 @@ func TestCreateDomainValidation(t *testing.T) {
 
 func TestDomainLookups(t *testing.T) {
 	_, hv := newTestHV(t, 1)
-	d0 := hv.CreateDomain("dom0", 256, 1)
-	d1 := hv.CreateDomain("web", 256, 1)
+	d0 := hv.CreateDomain("dom0", 256)
+	d1 := hv.CreateDomain("web", 256)
 	if d0.ID() != 0 || d1.ID() != 1 {
 		t.Fatalf("IDs = %d, %d", d0.ID(), d1.ID())
 	}
@@ -379,7 +358,7 @@ func TestDomainLookups(t *testing.T) {
 
 func TestCtlErrors(t *testing.T) {
 	_, hv := newTestHV(t, 1)
-	hv.CreateDomain("dom", 256, 1)
+	hv.CreateDomain("dom", 256)
 	ctl := NewCtl(hv)
 	if err := ctl.SetWeight(99, 512); err == nil {
 		t.Fatal("SetWeight on missing domain succeeded")
@@ -387,8 +366,13 @@ func TestCtlErrors(t *testing.T) {
 	if err := ctl.SetWeight(0, 0); err == nil {
 		t.Fatal("SetWeight(0) succeeded")
 	}
-	if err := ctl.SetCap(0, -1); err == nil {
-		t.Fatal("SetCap(-1) succeeded")
+	for _, r := range [][2]int{{0, 10}, {-5, 10}, {20, 10}} {
+		if _, err := ctl.AdjustWeight(0, 1, r[0], r[1]); err == nil {
+			t.Fatalf("AdjustWeight clamp [%d, %d] accepted", r[0], r[1])
+		}
+	}
+	if w, _ := ctl.Weight(0); w != 256 {
+		t.Fatalf("rejected AdjustWeight changed the weight to %d", w)
 	}
 	if err := ctl.Boost(42); err == nil {
 		t.Fatal("Boost on missing domain succeeded")
@@ -400,7 +384,7 @@ func TestCtlErrors(t *testing.T) {
 
 func TestCtlAdjustWeightClamps(t *testing.T) {
 	_, hv := newTestHV(t, 1)
-	d := hv.CreateDomain("dom", 256, 1)
+	d := hv.CreateDomain("dom", 256)
 	ctl := NewCtl(hv)
 	w, err := ctl.AdjustWeight(d.ID(), +1000, 64, 1024)
 	if err != nil || w != 1024 {
@@ -433,7 +417,7 @@ func TestStartTwicePanics(t *testing.T) {
 func TestUtilizationSeriesSampled(t *testing.T) {
 	s := sim.New(1)
 	hv := New(s, Options{NumPCPUs: 1, SamplePeriod: 100 * sim.Millisecond})
-	d := hv.CreateDomain("dom", 256, 1)
+	d := hv.CreateDomain("dom", 256)
 	hv.Start()
 	saturate(s, d, 5*sim.Millisecond)
 	s.RunUntil(1 * sim.Second)
@@ -448,8 +432,8 @@ func TestUtilizationSeriesSampled(t *testing.T) {
 
 func TestTotalUtilization(t *testing.T) {
 	s, hv := newTestHV(t, 2)
-	a := hv.CreateDomain("a", 256, 1)
-	b := hv.CreateDomain("b", 256, 1)
+	a := hv.CreateDomain("a", 256)
+	b := hv.CreateDomain("b", 256)
 	hv.Start()
 	saturate(s, a, 5*sim.Millisecond)
 	saturate(s, b, 5*sim.Millisecond)
@@ -464,9 +448,9 @@ func TestDeterministicScheduling(t *testing.T) {
 	run := func() (sim.Time, sim.Time, uint64) {
 		s := sim.New(99)
 		hv := New(s, Options{NumPCPUs: 2})
-		a := hv.CreateDomain("a", 256, 1)
-		b := hv.CreateDomain("b", 512, 1)
-		c := hv.CreateDomain("c", 128, 1)
+		a := hv.CreateDomain("a", 256)
+		b := hv.CreateDomain("b", 512)
+		c := hv.CreateDomain("c", 128)
 		hv.Start()
 		saturate(s, a, 7*sim.Millisecond)
 		saturate(s, b, 3*sim.Millisecond)
@@ -485,8 +469,8 @@ func TestDeterministicScheduling(t *testing.T) {
 
 func TestPreemptionCounterAdvances(t *testing.T) {
 	s, hv := newTestHV(t, 1)
-	hog := hv.CreateDomain("hog", 256, 1)
-	waker := hv.CreateDomain("waker", 256, 1)
+	hog := hv.CreateDomain("hog", 256)
+	waker := hv.CreateDomain("waker", 256)
 	hv.Start()
 	saturate(s, hog, 50*sim.Millisecond)
 	stop := s.Ticker(100*sim.Millisecond, func() {
@@ -503,7 +487,7 @@ func TestManyDomainsFairness(t *testing.T) {
 	s, hv := newTestHV(t, 4)
 	var doms []*Domain
 	for i := 0; i < 8; i++ {
-		doms = append(doms, hv.CreateDomain("d", 256, 1))
+		doms = append(doms, hv.CreateDomain("d", 256))
 	}
 	hv.Start()
 	for _, d := range doms {
@@ -519,17 +503,31 @@ func TestManyDomainsFairness(t *testing.T) {
 	}
 }
 
-func TestMultiVCPUDomain(t *testing.T) {
-	s, hv := newTestHV(t, 2)
-	d := hv.CreateDomain("smp", 256, 2)
+func TestLabeledBusyBreakdown(t *testing.T) {
+	s, hv := newTestHV(t, 1)
+	d := hv.CreateDomain("dom", 256)
 	hv.Start()
-	// Two independent task streams; both VCPUs should engage.
-	saturate(s, d, 5*sim.Millisecond)
-	saturate(s, d, 5*sim.Millisecond)
-	s.RunUntil(2 * sim.Second)
+	d.SubmitFunc(30*sim.Millisecond, "net-rx", nil)
+	d.SubmitFunc(20*sim.Millisecond, "bridge", nil)
+	d.SubmitFunc(50*sim.Millisecond, "app", nil)
+	s.RunUntil(1 * sim.Second)
+	busy := d.LabeledBusy()
+	if busy["net-rx"] != 30*sim.Millisecond {
+		t.Fatalf("net-rx = %v", busy["net-rx"])
+	}
+	if busy["bridge"] != 20*sim.Millisecond {
+		t.Fatalf("bridge = %v", busy["bridge"])
+	}
+	if busy["app"] != 50*sim.Millisecond {
+		t.Fatalf("app = %v", busy["app"])
+	}
+	// The per-label sum equals the meter total.
+	var sum sim.Time
+	for _, v := range busy {
+		sum += v
+	}
 	hv.syncRunMeter(d)
-	u := d.Meter().MeanUtilization(0, s.Now())
-	if u < 150 {
-		t.Fatalf("2-VCPU domain utilization = %.1f%%, want ~200", u)
+	if sum != d.Meter().Busy() {
+		t.Fatalf("label sum %v != meter %v", sum, d.Meter().Busy())
 	}
 }

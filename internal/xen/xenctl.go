@@ -61,8 +61,13 @@ func (c *Ctl) SetWeight(id, weight int) error {
 
 // AdjustWeight changes the weight of domain id by delta, clamped to
 // [min, max]. It returns the new weight. This is the natural target of the
-// paper's "weight increase"/"weight decrease" Tune messages.
+// paper's "weight increase"/"weight decrease" Tune messages. A clamp range
+// that would admit a weight SetWeight rejects (min < 1, or min > max) is an
+// error.
 func (c *Ctl) AdjustWeight(id, delta, min, max int) (int, error) {
+	if min < 1 || min > max {
+		return 0, fmt.Errorf("xen: invalid weight clamp [%d, %d] for domain %d", min, max, id)
+	}
 	d, err := c.domain(id)
 	if err != nil {
 		return 0, err
@@ -102,20 +107,7 @@ func (c *Ctl) SetFrequencyMHz(mhz int) error {
 	return nil
 }
 
-// SetCap sets the CPU cap of domain id in percent of one CPU (0 = uncapped).
-func (c *Ctl) SetCap(id, cap int) error {
-	if cap < 0 {
-		return fmt.Errorf("xen: invalid cap %d for domain %d", cap, id)
-	}
-	d, err := c.domain(id)
-	if err != nil {
-		return err
-	}
-	d.cap = cap
-	return nil
-}
-
-// Boost immediately raises domain id's VCPUs to BOOST priority (the Trigger
+// Boost immediately raises domain id to BOOST priority (the Trigger
 // mechanism's actuation on the x86 island).
 func (c *Ctl) Boost(id int) error {
 	d, err := c.domain(id)
@@ -129,49 +121,6 @@ func (c *Ctl) Boost(id int) error {
 		})
 	}
 	c.hv.Boost(d)
-	return nil
-}
-
-// PinVCPU restricts domain id's VCPU vcpu to the given physical CPUs (the
-// xm vcpu-pin equivalent). The change takes effect at the next scheduling
-// decision; a VCPU currently running on a now-forbidden PCPU is preempted.
-func (c *Ctl) PinVCPU(id, vcpu int, pcpus []int) error {
-	d, err := c.domain(id)
-	if err != nil {
-		return err
-	}
-	if vcpu < 0 || vcpu >= len(d.vcpus) {
-		return fmt.Errorf("xen: domain %d has no VCPU %d", id, vcpu)
-	}
-	if len(pcpus) == 0 {
-		return fmt.Errorf("xen: empty affinity for domain %d VCPU %d", id, vcpu)
-	}
-	mask := make([]bool, len(c.hv.pcpus))
-	for _, p := range pcpus {
-		if p < 0 || p >= len(mask) {
-			return fmt.Errorf("xen: no physical CPU %d", p)
-		}
-		mask[p] = true
-	}
-	v := d.vcpus[vcpu]
-	v.affinity = mask
-	if v.state == stateRunning && !v.AllowedOn(v.pcpu.id) {
-		c.hv.preempt(v.pcpu)
-	}
-	return nil
-}
-
-// UnpinVCPU removes domain id's VCPU affinity mask.
-func (c *Ctl) UnpinVCPU(id, vcpu int) error {
-	d, err := c.domain(id)
-	if err != nil {
-		return err
-	}
-	if vcpu < 0 || vcpu >= len(d.vcpus) {
-		return fmt.Errorf("xen: domain %d has no VCPU %d", id, vcpu)
-	}
-	d.vcpus[vcpu].affinity = nil
-	c.hv.maybePreempt()
 	return nil
 }
 

@@ -145,7 +145,12 @@ func (w *Workload) Validate() error {
 // and the run duration.
 func (w *Workload) trace(seed int64, duration time.Duration) (*scenario.Trace, error) {
 	if w.Kind == "trace" {
-		return scenario.ReadFile(w.Path)
+		tr, err := scenario.ReadFile(w.Path)
+		if err == nil && len(tr.Reqs) > maxScenarioRequests {
+			return nil, fmt.Errorf("repro: trace %s holds %d requests, over the cap of %d",
+				w.Path, len(tr.Reqs), maxScenarioRequests)
+		}
+		return tr, err
 	}
 	return scenario.Generate(w.genSpec(seed, duration))
 }
@@ -212,7 +217,7 @@ type Scenario struct {
 // 3 replicas, batches of 4).
 const (
 	maxScenarioSessions = 10_000    // closed-loop sessions x LoadFactor
-	maxScenarioRequests = 1_000_000 // generator draws, see scenario.GenSpec.Draws
+	maxScenarioRequests = 1_000_000 // generator draws (scenario.GenSpec.Draws) or recorded trace requests
 	maxScenarioReplicas = 16        // controller replicas, primary included
 	maxScenarioBatch    = 1024      // ml-serving requests per arrival batch
 )
@@ -289,7 +294,7 @@ func (s Scenario) validateSize() error {
 		return nil
 	}
 	if w.Kind == "trace" {
-		return nil
+		return nil // the recorded request count is checked when Compile reads the file
 	}
 	spec := w.genSpec(s.Seed, s.Duration)
 	if n := spec.Draws(); n > maxScenarioRequests {

@@ -47,6 +47,29 @@ func FuzzScenario(f *testing.F) {
 	})
 }
 
+// FuzzScenarioCompile drives the same seeds through ParseScenario →
+// Compile without running them, so the parser, validator and trace
+// pre-flight get the fuzzing budget a simulated run would otherwise spend.
+// Compile sees the spec as written: its size caps, not a harness clamp,
+// must keep every input cheap.
+func FuzzScenarioCompile(f *testing.F) {
+	for _, data := range committedSpecs(f, fuzzScenarioMax) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseScenario(data)
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatal("parse error with empty message")
+			}
+			return
+		}
+		if _, err := s.Compile(); err != nil && err.Error() == "" {
+			t.Fatal("compile error with empty message")
+		}
+	})
+}
+
 // committedSpecs returns the JSON of every committed scenario: the bench
 // specs, the scenario catalog for runs of duration d, and the chaos
 // corpus.

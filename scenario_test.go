@@ -7,11 +7,14 @@ package repro
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 func scenarioMatrixCfg() RubisConfig {
@@ -208,6 +211,39 @@ func TestScenarioValidation(t *testing.T) {
 	}}
 	if _, err := badMap.Compile(); err == nil || !strings.Contains(err.Error(), "not a RUBiS request type") {
 		t.Errorf("Compile of a bad class map: %v", err)
+	}
+}
+
+// TestTraceWorkloadSizeCaps: a recorded trace obeys the same size caps as
+// a generated one. A path naming an endless stream fails at the byte cap
+// instead of reading until memory runs out, and a trace holding more
+// requests than a generator may draw is rejected by Compile.
+func TestTraceWorkloadSizeCaps(t *testing.T) {
+	if _, err := os.Stat("/dev/zero"); err == nil {
+		endless := Scenario{Workload: &Workload{Kind: "trace", Path: "/dev/zero"}}
+		start := time.Now()
+		_, err := endless.Compile()
+		if err == nil || !strings.Contains(err.Error(), "byte cap") {
+			t.Errorf("Compile of an endless trace path: %v, want the byte-cap error", err)
+		}
+		if wall := time.Since(start); wall > 30*time.Second {
+			t.Errorf("endless trace path took %v to fail", wall)
+		}
+	} else {
+		t.Log("no /dev/zero; endless-path case skipped")
+	}
+
+	reqs := make([]scenario.Req, maxScenarioRequests+1)
+	for i := range reqs {
+		reqs[i] = scenario.Req{T: sim.Time(i) * sim.Microsecond, Class: "browse"}
+	}
+	path := filepath.Join(t.TempDir(), "big.wtrace")
+	if err := (&scenario.Trace{Seed: 1, Reqs: reqs}).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	big := Scenario{Workload: &Workload{Kind: "trace", Path: path}}
+	if _, err := big.Compile(); err == nil || !strings.Contains(err.Error(), "over the cap") {
+		t.Errorf("Compile of a %d-request trace: %v, want the request-cap error", len(reqs), err)
 	}
 }
 
