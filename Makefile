@@ -51,13 +51,15 @@ bench:
 # fuzz gives the reliability-protocol, checkpoint-decoder, fault-plan-
 # generator and scenario-spec (parse-compile-run and parse-compile)
 # fuzzers a short budget each; CI and local
-# smoke runs share the checked-in corpus under testdata.
+# smoke runs share the checked-in corpus under testdata. -fuzzminimizetime
+# caps the minimization of each new input at 100 runs, so the budget goes
+# to searching.
 fuzz:
-	$(GO) test -run FuzzReliableEndpoint -fuzz FuzzReliableEndpoint -fuzztime 30s ./internal/core/
-	$(GO) test -run FuzzCheckpoint -fuzz FuzzCheckpoint -fuzztime 30s ./internal/core/
-	$(GO) test -run FuzzFaultPlanGen -fuzz FuzzFaultPlanGen -fuzztime 30s ./internal/chaos/
-	$(GO) test -run '^FuzzScenario$$' -fuzz '^FuzzScenario$$' -fuzztime 30s .
-	$(GO) test -run '^FuzzScenarioCompile$$' -fuzz '^FuzzScenarioCompile$$' -fuzztime 30s .
+	$(GO) test -run FuzzReliableEndpoint -fuzz FuzzReliableEndpoint -fuzztime 30s -fuzzminimizetime 100x ./internal/core/
+	$(GO) test -run FuzzCheckpoint -fuzz FuzzCheckpoint -fuzztime 30s -fuzzminimizetime 100x ./internal/core/
+	$(GO) test -run FuzzFaultPlanGen -fuzz FuzzFaultPlanGen -fuzztime 30s -fuzzminimizetime 100x ./internal/chaos/
+	$(GO) test -run '^FuzzScenario$$' -fuzz '^FuzzScenario$$' -fuzztime 30s -fuzzminimizetime 100x .
+	$(GO) test -run '^FuzzScenarioCompile$$' -fuzz '^FuzzScenarioCompile$$' -fuzztime 30s -fuzzminimizetime 100x .
 
 # chaos runs the fault-injection suites: the root RUBiS chaos tests plus
 # the coordination-plane protocol tests under the race detector.
@@ -106,7 +108,7 @@ flight:
 	$(GO) run ./cmd/reproflight record -o /tmp/ci2.flight -seed 7 -duration 10s -warmup 2s -load 3 -overload
 	$(GO) run ./cmd/reproflight diff /tmp/ci.flight /tmp/ci2.flight
 	$(GO) run ./cmd/reproflight inspect /tmp/ci.flight
-	$(GO) test -run FuzzFlightDecoder -fuzz FuzzFlightDecoder -fuzztime 10s ./internal/flight/
+	$(GO) test -run FuzzFlightDecoder -fuzz FuzzFlightDecoder -fuzztime 10s -fuzzminimizetime 100x ./internal/flight/
 
 # scenarios runs the trace-driven workload conformance suite under the
 # race detector: the .wtrace format golden/round-trip/fuzz-seed tests,

@@ -87,8 +87,6 @@ type Agent struct {
 	limiter  *RateLimiter
 	stats    AgentStats
 
-	trace func(Message) // optional message tap for tests/harness
-
 	flight      *flight.Recorder  // optional flight recorder
 	fsim        *sim.Simulator    // timestamp source for flight events
 	routeLabels map[string]string // interned "name>target" flight labels
@@ -123,12 +121,6 @@ func WithRateLimit(s *sim.Simulator, minInterval sim.Time) AgentOption {
 // SetLimiter installs (or replaces) the agent's outbound rate limiter
 // after construction; nil removes it.
 func (a *Agent) SetLimiter(l *RateLimiter) { a.limiter = l }
-
-// WithTrace installs fn as a tap on every message the agent sends or
-// applies.
-func WithTrace(fn func(Message)) AgentOption {
-	return func(a *Agent) { a.trace = fn }
-}
 
 // NewAgent creates an island agent. For remote islands, uplink carries
 // messages to the controller and its reverse direction must be wired to
@@ -301,9 +293,6 @@ func (a *Agent) send(msg Message) bool {
 		// Registration is controller-driven and protocol messages are
 		// emitted by their own paths; agents forward them uncounted.
 	}
-	if a.trace != nil {
-		a.trace(msg)
-	}
 	if a.flight != nil {
 		a.flight.Record(flight.Event{
 			T: a.fsim.Now(), Cat: flight.CatSend, Code: uint8(msg.Kind),
@@ -343,9 +332,6 @@ func (a *Agent) Deliver(msg Message) {
 	if a.actuator == nil {
 		a.stats.ApplyErrors++
 		return
-	}
-	if a.trace != nil {
-		a.trace(msg)
 	}
 	if a.flight != nil {
 		a.flight.Record(flight.Event{

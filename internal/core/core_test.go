@@ -190,6 +190,7 @@ type fakeActuator struct {
 	tunes    []int
 	triggers []int
 	fail     bool
+	onApply  func() // optional hook run on every successful apply
 }
 
 func (f *fakeActuator) ApplyTune(e, d int) error {
@@ -197,6 +198,7 @@ func (f *fakeActuator) ApplyTune(e, d int) error {
 		return errFail
 	}
 	f.tunes = append(f.tunes, d)
+	f.applied()
 	return nil
 }
 func (f *fakeActuator) ApplyTrigger(e int) error {
@@ -204,7 +206,14 @@ func (f *fakeActuator) ApplyTrigger(e int) error {
 		return errFail
 	}
 	f.triggers = append(f.triggers, e)
+	f.applied()
 	return nil
+}
+
+func (f *fakeActuator) applied() {
+	if f.onApply != nil {
+		f.onApply()
+	}
 }
 
 var errFail = &failErr{}
@@ -260,8 +269,8 @@ func TestAgentDeliveryLatencyMatchesMailbox(t *testing.T) {
 	mb := pcie.NewMailbox(s, 150*sim.Microsecond)
 	ctrl := NewController()
 	var appliedAt sim.Time
-	act := &fakeActuator{}
-	x86 := NewAgent("x86", nil, ctrl.Route, act, WithTrace(func(m Message) { appliedAt = s.Now() }))
+	act := &fakeActuator{onApply: func() { appliedAt = s.Now() }}
+	x86 := NewAgent("x86", nil, ctrl.Route, act)
 	if err := ctrl.RegisterIsland(IslandHandle{Name: "x86", Local: x86.Deliver}); err != nil {
 		t.Fatal(err)
 	}

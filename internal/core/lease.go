@@ -45,8 +45,7 @@ type lease struct {
 	flapped   bool     // rejoin is on probation (hysteresis not yet served)
 }
 
-// WatchdogConfig parameterizes the heartbeat watchdog of the Controller
-// and the Mesh.
+// WatchdogConfig parameterizes the Controller's heartbeat watchdog.
 type WatchdogConfig struct {
 	// CheckPeriod is the sweep (and downlink ping) interval (default
 	// 250ms).
@@ -89,10 +88,10 @@ func (c *WatchdogConfig) applyDefaults() {
 	}
 }
 
-// leaseTable is the heartbeat/lease watchdog shared by the Controller and
-// the Mesh: one lease per island that has heartbeated, advanced by a
-// periodic sweep and renewed by heartbeats, with the flap hysteresis and
-// the transition hooks of WatchdogConfig.
+// leaseTable is the Controller's heartbeat/lease watchdog: one lease per
+// island that has heartbeated, advanced by a periodic sweep and renewed by
+// heartbeats, with the flap hysteresis and the transition hooks of
+// WatchdogConfig.
 type leaseTable struct {
 	sim      *sim.Simulator // nil until enable: heartbeats are then only counted
 	cfg      WatchdogConfig
@@ -103,7 +102,7 @@ type leaseTable struct {
 	rejoins    uint64
 	flaps      uint64
 
-	// record taps one lease transition into the flight log; may be nil.
+	// record taps one lease transition into the flight log.
 	record func(code uint8, island string)
 }
 
@@ -115,12 +114,6 @@ func newLeaseTable(record func(code uint8, island string)) leaseTable {
 func (t *leaseTable) enable(s *sim.Simulator, cfg WatchdogConfig) {
 	cfg.applyDefaults()
 	t.sim, t.cfg = s, cfg
-}
-
-func (t *leaseTable) tap(code uint8, island string) {
-	if t.record != nil {
-		t.record(code, island)
-	}
 }
 
 // sweep advances the lease states of the named islands, in order (callers
@@ -140,11 +133,11 @@ func (t *leaseTable) sweep(islands []string) {
 				// window: it was genuine after all.
 				l.flapped = false
 				t.rejoins++
-				t.tap(flight.LeaseRejoin, name)
+				t.record(flight.LeaseRejoin, name)
 			}
 			if silence > t.cfg.SuspectAfter {
 				l.state = LeaseSuspect
-				t.tap(flight.LeaseSuspect, name)
+				t.record(flight.LeaseSuspect, name)
 				if t.cfg.OnSuspect != nil {
 					t.cfg.OnSuspect(name)
 				}
@@ -161,7 +154,7 @@ func (t *leaseTable) sweep(islands []string) {
 				} else {
 					t.expiries++
 				}
-				t.tap(flight.LeaseDead, name)
+				t.record(flight.LeaseDead, name)
 				if t.cfg.OnDead != nil {
 					t.cfg.OnDead(name)
 				}
@@ -193,10 +186,10 @@ func (t *leaseTable) observe(island string, known bool) {
 			t.flaps++
 			l.flapped = true
 			l.rejoinAt = now
-			t.tap(flight.LeaseFlap, island)
+			t.record(flight.LeaseFlap, island)
 		} else {
 			t.rejoins++
-			t.tap(flight.LeaseRejoin, island)
+			t.record(flight.LeaseRejoin, island)
 		}
 		if t.cfg.OnRejoin != nil {
 			t.cfg.OnRejoin(island)

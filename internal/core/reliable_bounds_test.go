@@ -137,47 +137,23 @@ func TestReliableFlushStaleKeepsTriggers(t *testing.T) {
 	}
 }
 
-// leaseWatcher is the lease-watchdog surface the Controller and the Mesh
-// share.
-type leaseWatcher interface {
-	EnableWatchdog(*sim.Simulator, WatchdogConfig) func()
-	LeaseExpiries() uint64
-	FlapSuppressed() uint64
-	Rejoins() uint64
-	LeaseOf(string) (LeaseState, bool)
-}
-
 // TestWatchdogFlapHysteresis: an island that dies and rejoins in rapid
 // cycles must not inflate LeaseExpiries/Rejoins pair-per-cycle. With
 // hysteresis, the churn counts once: the first real expiry, N suppressed
-// flaps, and one matured rejoin when the island finally stays up. The
-// central controller and the distributed mesh share the lease machine, so
-// both must hold the contract.
+// flaps, and one matured rejoin when the island finally stays up.
 func TestWatchdogFlapHysteresis(t *testing.T) {
 	t.Run("star", func(t *testing.T) {
 		tb := newStarTestbed(t)
 		testFlapHysteresis(t, tb.s, tb.ag, tb.ctrl)
 	})
-	t.Run("mesh", func(t *testing.T) {
-		s := sim.New(1)
-		m := newTestMesh(s, 100*sim.Microsecond)
-		if _, err := m.AddIsland("x86", &fakeActuator{}); err != nil {
-			t.Fatal(err)
-		}
-		ag, err := m.AddIsland("ixp", &fakeActuator{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		testFlapHysteresis(t, s, ag, m)
-	})
 }
 
 // testFlapHysteresis crashes and restarts the "ixp" island's agent in
-// cycles shorter than the rejoin hysteresis and checks what w counted.
-func testFlapHysteresis(t *testing.T, s *sim.Simulator, ag *Agent, w leaseWatcher) {
+// cycles shorter than the rejoin hysteresis and checks what ctrl counted.
+func testFlapHysteresis(t *testing.T, s *sim.Simulator, ag *Agent, ctrl *Controller) {
 	var rejoinHooks int
 	ag.EnableHeartbeat(s, 10*sim.Millisecond)
-	w.EnableWatchdog(s, WatchdogConfig{
+	ctrl.EnableWatchdog(s, WatchdogConfig{
 		CheckPeriod:      10 * sim.Millisecond,
 		SuspectAfter:     20 * sim.Millisecond,
 		DeadAfter:        40 * sim.Millisecond,
@@ -196,13 +172,13 @@ func testFlapHysteresis(t *testing.T, s *sim.Simulator, ag *Agent, w leaseWatche
 	// Then the island stays up past the hysteresis window.
 	s.RunUntil(sim.Time(100+cycles*100)*sim.Millisecond + 300*sim.Millisecond)
 
-	if got := w.LeaseExpiries(); got != 1 {
+	if got := ctrl.LeaseExpiries(); got != 1 {
 		t.Errorf("LeaseExpiries = %d, want 1 (flap cycles must not double count)", got)
 	}
-	if got := w.FlapSuppressed(); got != cycles {
+	if got := ctrl.FlapSuppressed(); got != cycles {
 		t.Errorf("FlapSuppressed = %d, want %d", got, cycles)
 	}
-	if got := w.Rejoins(); got != 1 {
+	if got := ctrl.Rejoins(); got != 1 {
 		t.Errorf("Rejoins = %d, want 1 (only the matured rejoin counts)", got)
 	}
 	// The OnRejoin hook must still fire on every recovery — the baseline
@@ -210,7 +186,7 @@ func testFlapHysteresis(t *testing.T, s *sim.Simulator, ag *Agent, w leaseWatche
 	if rejoinHooks != cycles {
 		t.Errorf("OnRejoin fired %d times, want %d", rejoinHooks, cycles)
 	}
-	if st, _ := w.LeaseOf("ixp"); st != LeaseAlive {
+	if st, _ := ctrl.LeaseOf("ixp"); st != LeaseAlive {
 		t.Errorf("final lease state = %v", st)
 	}
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/energy"
@@ -20,7 +21,17 @@ type PowerCapConfig struct {
 	Guests   int           // CPU-saturating guest VMs (default 2)
 }
 
+// applyDefaults fills each zero field with its default and panics on a
+// negative one.
 func (c *PowerCapConfig) applyDefaults() {
+	switch {
+	case c.CapWatts < 0:
+		panic(fmt.Sprintf("repro: negative CapWatts %g", c.CapWatts))
+	case c.Duration < 0:
+		panic(fmt.Sprintf("repro: negative Duration %v", c.Duration))
+	case c.Guests < 0:
+		panic(fmt.Sprintf("repro: negative Guests %d", c.Guests))
+	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}

@@ -309,3 +309,62 @@ func TestRubisRejectsLossRateWithFaults(t *testing.T) {
 	}()
 	RunRubis(RubisConfig{CoordLossRate: 0.1, Faults: &FaultPlan{LossRate: 0.2}}, true)
 }
+
+// panicMessage runs f and returns the string it panicked with ("" when it
+// returned normally).
+func panicMessage(f func()) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	f()
+	return ""
+}
+
+// TestFacadesRejectNegativeConfig: zero selects a facade's default, and
+// any other out-of-range value panics with a repro message naming the
+// field instead of silently turning into the default.
+func TestFacadesRejectNegativeConfig(t *testing.T) {
+	cases := []struct {
+		field string
+		run   func()
+	}{
+		{"Sessions", func() { RunRubis(RubisConfig{Sessions: -1}, true) }},
+		{"Duration", func() { RunRubis(RubisConfig{Duration: -time.Second}, true) }},
+		{"Warmup", func() { RunRubis(RubisConfig{Warmup: -time.Second}, false) }},
+		{"LoadFactor", func() { RunRubis(RubisConfig{LoadFactor: -0.5}, true) }},
+		{"RequestTimeout", func() { RunRubis(RubisConfig{RequestTimeout: -time.Second}, true) }},
+		{"CoordLatency", func() { RunRubis(RubisConfig{CoordLatency: -time.Microsecond}, true) }},
+		{"IntrModeration", func() { RunRubis(RubisConfig{IntrModeration: -time.Microsecond}, false) }},
+		{"Heartbeat", func() { RunRubis(RubisConfig{Robust: true, Heartbeat: -time.Second}, true) }},
+		{"Mix", func() { RunRubis(RubisConfig{Mix: "browse"}, true) }},
+		{"CapWatts", func() { RunPowerCap(PowerCapConfig{CapWatts: -5}) }},
+		{"Duration", func() { RunPowerCap(PowerCapConfig{Duration: -time.Second}) }},
+		{"Guests", func() { RunPowerCap(PowerCapConfig{Guests: -1}) }},
+		{"RatePerIsland", func() { RunCoordScalability(ScalabilityConfig{RatePerIsland: -1}) }},
+		{"Duration", func() { RunCoordScalability(ScalabilityConfig{Duration: -time.Second}) }},
+		{"Reps", func() { RunCoordScalability(ScalabilityConfig{Reps: -2}) }},
+		{"Islands", func() { RunCoordScalability(ScalabilityConfig{Islands: []int{2, 0}}) }},
+	}
+	for _, tc := range cases {
+		msg := panicMessage(tc.run)
+		if !strings.HasPrefix(msg, "repro: ") || !strings.Contains(msg, tc.field) {
+			t.Errorf("%s: panicked with %q, want a repro message naming the field", tc.field, msg)
+		}
+	}
+
+	// The zero configs still select every default.
+	if err := (RubisConfig{}).Validate(); err != nil {
+		t.Errorf("zero RubisConfig: %v", err)
+	}
+	if got := (RubisConfig{}).internal(true).Client.Sessions; got != 80 {
+		t.Errorf("zero RubisConfig runs %d sessions, want the default 80", got)
+	}
+	pc := PowerCapConfig{}
+	pc.applyDefaults()
+	if pc.CapWatts != 120 || pc.Duration != 60*time.Second || pc.Guests != 2 {
+		t.Errorf("zero PowerCapConfig defaults to %+v", pc)
+	}
+	sc := ScalabilityConfig{}
+	sc.applyDefaults()
+	if len(sc.Islands) != 8 || sc.RatePerIsland != 200 || sc.Duration != 10*time.Second || sc.Reps != 1 {
+		t.Errorf("zero ScalabilityConfig defaults to %+v", sc)
+	}
+}

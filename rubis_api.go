@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -335,8 +336,49 @@ type RubisRun struct {
 	Energy EnergyReport
 }
 
-// internalRubisConfig translates the public config.
+// Validate reports the first invalid value in the config. Zero selects
+// the default of every duration, count and factor; a negative one, or an
+// unknown Mix, is an error rather than a silent default.
+func (c RubisConfig) Validate() error {
+	if err := c.Workload.Validate(); err != nil {
+		return err
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"Duration", c.Duration},
+		{"Warmup", c.Warmup},
+		{"CoordLatency", c.CoordLatency},
+		{"IntrModeration", c.IntrModeration},
+		{"Heartbeat", c.Heartbeat},
+		{"RequestTimeout", c.RequestTimeout},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("repro: negative %s %v", d.name, d.v)
+		}
+	}
+	if c.Sessions < 0 {
+		return fmt.Errorf("repro: negative Sessions %d", c.Sessions)
+	}
+	if c.LoadFactor < 0 {
+		return fmt.Errorf("repro: negative LoadFactor %g", c.LoadFactor)
+	}
+	if c.Mix != "" && c.Mix != "bid" && c.Mix != "browsing" {
+		return fmt.Errorf("repro: unknown Mix %q (want \"bid\" or \"browsing\")", c.Mix)
+	}
+	if c.CoordLossRate > 0 && c.Faults != nil {
+		return fmt.Errorf("repro: CoordLossRate %g set together with Faults; put the loss in the plan's LossRate", c.CoordLossRate)
+	}
+	return nil
+}
+
+// internal translates the public config; an invalid one is API misuse
+// and panics with its Validate error.
 func (c RubisConfig) internal(coordinated bool) rubis.ExperimentConfig {
+	if err := c.Validate(); err != nil {
+		panic("repro: invalid RubisConfig: " + strings.TrimPrefix(err.Error(), "repro: "))
+	}
 	ec := rubis.ExperimentConfig{
 		Coordinated: coordinated,
 		Scheme:      c.Scheme.internal(),
@@ -350,9 +392,6 @@ func (c RubisConfig) internal(coordinated bool) rubis.ExperimentConfig {
 	}
 	ec.Platform.CoordFaults = c.Faults.internal()
 	if c.CoordLossRate > 0 {
-		if c.Faults != nil {
-			panic(fmt.Sprintf("repro: CoordLossRate %g set together with Faults; put the loss in the plan's LossRate", c.CoordLossRate))
-		}
 		ec.Platform.CoordFaults = &pcie.FaultPlan{Seed: c.Seed, LossRate: c.CoordLossRate}
 	}
 	if c.Robust || c.Failover != nil {

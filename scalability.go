@@ -22,7 +22,7 @@ const (
 // coordination beat the prototype's central controller?
 type ScalabilityConfig struct {
 	Seed          int64
-	Islands       []int         // island counts to sweep (default 2..64 doubling)
+	Islands       []int         // island counts to sweep (default 2..256 doubling)
 	RatePerIsland float64       // coordination messages/s per island (default 200)
 	Duration      time.Duration // simulated time per point (default 10s)
 
@@ -31,13 +31,28 @@ type ScalabilityConfig struct {
 	// are identical for any worker count.
 	Workers int
 	// Reps repeats each point with FNV-derived seed substreams (repetition
-	// 0 keeps Seed, so Reps <= 1 reproduces historical single-run results
+	// 0 keeps Seed, so Reps 0 or 1 reproduces historical single-run results
 	// exactly). With Reps > 1 each point reports the mean across
 	// repetitions plus 95% confidence intervals.
 	Reps int
 }
 
+// applyDefaults fills each zero field with its default and panics on a
+// negative one.
 func (c *ScalabilityConfig) applyDefaults() {
+	switch {
+	case c.RatePerIsland < 0:
+		panic(fmt.Sprintf("repro: negative RatePerIsland %g", c.RatePerIsland))
+	case c.Duration < 0:
+		panic(fmt.Sprintf("repro: negative Duration %v", c.Duration))
+	case c.Reps < 0:
+		panic(fmt.Sprintf("repro: negative Reps %d", c.Reps))
+	}
+	for _, n := range c.Islands {
+		if n < 1 {
+			panic(fmt.Sprintf("repro: Islands holds %d; each island count must be at least 1", n))
+		}
+	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -50,7 +65,7 @@ func (c *ScalabilityConfig) applyDefaults() {
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Second
 	}
-	if c.Reps <= 0 {
+	if c.Reps == 0 {
 		c.Reps = 1
 	}
 }

@@ -240,7 +240,7 @@ func (s Scenario) Validate() error {
 	if s.LoadFactor < 0 {
 		return fmt.Errorf("repro: scenario %q has negative load factor %g", s.Name, s.LoadFactor)
 	}
-	if err := s.Workload.Validate(); err != nil {
+	if err := s.config().Validate(); err != nil {
 		return err
 	}
 	if err := s.validateSize(); err != nil {

@@ -134,6 +134,7 @@ func TestScenarioValidation(t *testing.T) {
 		{"negative duration", Scenario{Duration: -dur}, "negative duration"},
 		{"warmup swallows run", Scenario{Duration: dur, Warmup: dur}, "no measurement window"},
 		{"negative load", Scenario{LoadFactor: -1}, "negative load factor"},
+		{"negative request timeout", Scenario{RequestTimeout: -time.Second}, "negative RequestTimeout"},
 		{"trace without path", Scenario{Workload: &Workload{Kind: "trace"}}, "requires a path"},
 		{"path on closed loop", Scenario{Workload: &Workload{Kind: "sessions", Path: "x.wtrace"}}, "does not take a trace path"},
 		{"bad mix", Scenario{Workload: &Workload{Mix: "replay"}}, "unknown workload mix"},
